@@ -1,0 +1,6 @@
+"""`python -m v2x_loadcast ...` runs the command-line interface."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -51,3 +51,7 @@ class EmptyBatch(LoadcastError):
 
 class ConfigError(LoadcastError):
     """A config file or CLI flag failed validation."""
+
+
+class CheckpointError(LoadcastError):
+    """A model checkpoint is not readable: wrong format or version, or malformed content."""

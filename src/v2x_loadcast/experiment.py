@@ -259,12 +259,14 @@ def comparison_table(rows: Sequence[GridRow]) -> str:
         r = row.report
         cells.setdefault(r.scenario_id, {}).setdefault(r.mode, []).append(r.test_mae)
         meta[r.scenario_id] = (r.lam, r.handover_prob, r.cell_range_miles)
-    lines = [f"{'scenario':<22}{'lam':>7}{'h':>6}{'range':>7}{'Net':>10}{'Net&Road':>10}"]
+    # A space separates every column, so a value wider than its column pushes
+    # the rest of the row right instead of running into its neighbour.
+    lines = [f"{'scenario':<22} {'lam':>6} {'h':>5} {'range':>6} {'Net':>9} {'Net&Road':>9}"]
     for sid, modes in cells.items():
         lam, h, rng_miles = meta[sid]
         net = np.mean(modes["net"]) if "net" in modes else float("nan")
         fused = np.mean(modes["net_road"]) if "net_road" in modes else float("nan")
         lines.append(
-            f"{sid:<22}{lam:>7.2f}{h:>6.2f}{rng_miles:>7.1f}{net:>10.4f}{fused:>10.4f}"
+            f"{sid:<22} {lam:>6.2f} {h:>5.2f} {rng_miles:>6.1f} {net:>9.4f} {fused:>9.4f}"
         )
     return "\n".join(lines)

@@ -17,6 +17,26 @@ recurrent part of the candidate):
 
 `backward` returns exact analytic gradients of the batch-mean MSE with
 respect to every parameter; everything runs in float64.
+
+Kernel. Parameters are stored in the block order above (LSTM i, f, g, o),
+which fixes the init draws and the checkpoint layout. The kernel runs the
+gates in an order with the sigmoid blocks first (LSTM i, f, o, g; GRU r, z,
+n unchanged) by permuting the weight columns at call time, so one in-place
+activation pass covers every sigmoid gate of a step. Sigmoid is evaluated as
+s(x) = 0.5 * tanh(0.5 x) + 0.5, which cannot overflow. One GEMM computes the
+input projection of the whole window into a time-major (M, B, G*H) buffer;
+each step adds h' W_h to its slice and activates it in place, and hidden
+(and LSTM cell) states go into preallocated (M+1, B, H) buffers whose first
+row is the zero initial state. `backward` writes each step's pre-activation
+gradients into one (M, B, G*H) buffer and computes the W_x, W_h and b
+gradients after the loop with one GEMM or sum each, then maps them back to
+the stored order.
+
+`ForwardTrace`: `inputs` (B, M, D) as given and `preds` (B, T_out), then,
+time-major, `states` (M+1, B, H) and the activated `gates` (M, B, G*H) in
+kernel order; LSTM adds `cells` (M+1, B, H) and `tanh_c` (M, B, H), GRU
+adds `hh_n` (M, B, H), the h' W_hn term the reset gate scales. `h_prev` and
+`c` are views of `states` and `cells`.
 """
 
 from __future__ import annotations
@@ -26,9 +46,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import CheckpointError, ShapeMismatch
 
 GATE_BLOCKS = {"lstm": 4, "gru": 3}
+SIGMOID_BLOCKS = {"lstm": 3, "gru": 2}  # leading blocks of the kernel order
 CHECKPOINT_FORMAT = "v2x-loadcast-model"
 CHECKPOINT_VERSION = 1
 
@@ -118,38 +139,50 @@ def init_parameters(
     return ModelParameters(cell, w_x, w_h, b, w_out, b_out)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _kernel_order(cell: str, a: np.ndarray, hidden_size: int) -> np.ndarray:
+    """Gate columns (last axis) from stored to kernel order; the same call maps back.
+
+    LSTM swaps the g and o blocks (i, f, g, o <-> i, f, o, g), an involution;
+    GRU's r, z, n is already kernel order and is returned as is.
+    """
+    if cell == "gru":
+        return a
+    h = hidden_size
+    return np.concatenate((a[..., : 2 * h], a[..., 3 * h :], a[..., 2 * h : 3 * h]), axis=-1)
+
+
+def _logistic_inplace(a: np.ndarray) -> None:
+    """a <- 1 / (1 + exp(-a)), computed as 0.5 * tanh(0.5 a) + 0.5 (cannot overflow)."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a *= 0.5
+    a += 0.5
 
 
 @dataclass
 class ForwardTrace:
-    """Per-timestep activations retained for backpropagation through time."""
+    """Activations retained for backpropagation through time, time-major but for `inputs`."""
 
-    inputs: np.ndarray  # (B, M, D)
+    inputs: np.ndarray  # (B, M, D) as given to `forward`
     preds: np.ndarray  # (B, T_out)
-    h_prev: np.ndarray  # (M, B, H) hidden state entering each step
-    h_last: np.ndarray  # (B, H)
-    # LSTM fields
-    i: np.ndarray | None = None
-    f: np.ndarray | None = None
-    g: np.ndarray | None = None
-    o: np.ndarray | None = None
-    c: np.ndarray | None = None  # (M, B, H) cell state leaving each step
-    tanh_c: np.ndarray | None = None
-    # GRU fields
-    r: np.ndarray | None = None
-    z: np.ndarray | None = None
-    n: np.ndarray | None = None
-    hh_n: np.ndarray | None = None  # h_prev @ W_hn, needed for the reset-gate gradient
+    states: np.ndarray  # (M+1, B, H) hidden state; states[0] = 0 enters step 0
+    gates: np.ndarray  # (M, B, G*H) activated gates in kernel order
+    cells: np.ndarray | None = None  # LSTM (M+1, B, H) cell state; cells[0] = 0
+    tanh_c: np.ndarray | None = None  # LSTM (M, B, H) tanh of cells[1:]
+    hh_n: np.ndarray | None = None  # GRU (M, B, H) h_prev @ W_hn, for the reset-gate gradient
+
+    @property
+    def h_prev(self) -> np.ndarray:
+        """(M, B, H) hidden state entering each step."""
+        return self.states[:-1]
+
+    @property
+    def c(self) -> np.ndarray | None:
+        """(M, B, H) LSTM cell state leaving each step."""
+        return None if self.cells is None else self.cells[1:]
 
     def __len__(self) -> int:
-        return self.h_prev.shape[0]
+        return self.gates.shape[0]
 
 
 def _as_batch(inputs: np.ndarray, d: int) -> np.ndarray:
@@ -164,53 +197,44 @@ def _as_batch(inputs: np.ndarray, d: int) -> np.ndarray:
 def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Run the window through the cell; returns predictions (B, T_out) and the trace."""
     x = _as_batch(inputs, params.input_size)
-    bsz, m, _ = x.shape
-    h_size = params.hidden_size
-    zx = x @ params.w_x + params.b  # (B, M, blocks*H)
-    h = np.zeros((bsz, h_size))
+    bsz, m, d = x.shape
+    cell, hs = params.cell, params.hidden_size
+    ns = SIGMOID_BLOCKS[cell] * hs
+    xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
+    gates = (xt @ _kernel_order(cell, params.w_x, hs)).reshape(m, bsz, -1)
+    gates += _kernel_order(cell, params.b, hs)
+    w_h = _kernel_order(cell, params.w_h, hs)
+    states = np.zeros((m + 1, bsz, hs))
 
-    h_prev = np.empty((m, bsz, h_size))
-    if params.cell == "lstm":
-        i_t = np.empty((m, bsz, h_size))
-        f_t = np.empty_like(i_t)
-        g_t = np.empty_like(i_t)
-        o_t = np.empty_like(i_t)
-        c_t = np.empty_like(i_t)
-        tanh_c_t = np.empty_like(i_t)
-        c = np.zeros((bsz, h_size))
+    if cell == "lstm":
+        cells = np.zeros((m + 1, bsz, hs))
+        tanh_c = np.empty((m, bsz, hs))
         for t in range(m):
-            h_prev[t] = h
-            zz = zx[:, t, :] + h @ params.w_h
-            i = _sigmoid(zz[:, :h_size])
-            f = _sigmoid(zz[:, h_size : 2 * h_size])
-            g = np.tanh(zz[:, 2 * h_size : 3 * h_size])
-            o = _sigmoid(zz[:, 3 * h_size :])
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            i_t[t], f_t[t], g_t[t], o_t[t] = i, f, g, o
-            c_t[t], tanh_c_t[t] = c, tc
-        preds = h @ params.w_out + params.b_out
-        trace = ForwardTrace(
-            x, preds, h_prev, h, i=i_t, f=f_t, g=g_t, o=o_t, c=c_t, tanh_c=tanh_c_t
-        )
+            a = gates[t]
+            a += states[t] @ w_h
+            _logistic_inplace(a[:, :ns])
+            np.tanh(a[:, ns:], out=a[:, ns:])
+            i, f, o, g = a[:, :hs], a[:, hs : 2 * hs], a[:, 2 * hs : ns], a[:, ns:]
+            np.multiply(f, cells[t], out=cells[t + 1])
+            cells[t + 1] += i * g
+            np.tanh(cells[t + 1], out=tanh_c[t])
+            np.multiply(o, tanh_c[t], out=states[t + 1])
+        extra = {"cells": cells, "tanh_c": tanh_c}
     else:
-        r_t = np.empty((m, bsz, h_size))
-        z_t = np.empty_like(r_t)
-        n_t = np.empty_like(r_t)
-        hh_n_t = np.empty_like(r_t)
+        hh = np.empty_like(gates)  # h_prev @ W_h per step
         for t in range(m):
-            h_prev[t] = h
-            hh = h @ params.w_h  # (B, 3H)
-            r = _sigmoid(zx[:, t, :h_size] + hh[:, :h_size])
-            z = _sigmoid(zx[:, t, h_size : 2 * h_size] + hh[:, h_size : 2 * h_size])
-            hh_n = hh[:, 2 * h_size :]
-            n = np.tanh(zx[:, t, 2 * h_size :] + r * hh_n)
-            h = z * h + (1.0 - z) * n
-            r_t[t], z_t[t], n_t[t], hh_n_t[t] = r, z, n, hh_n
-        preds = h @ params.w_out + params.b_out
-        trace = ForwardTrace(x, preds, h_prev, h, r=r_t, z=z_t, n=n_t, hh_n=hh_n_t)
-    return preds, trace
+            a = gates[t]
+            np.matmul(states[t], w_h, out=hh[t])
+            a[:, :ns] += hh[t, :, :ns]
+            _logistic_inplace(a[:, :ns])
+            r, z, n = a[:, :hs], a[:, hs:ns], a[:, ns:]
+            n += r * hh[t, :, ns:]
+            np.tanh(n, out=n)
+            np.multiply(z, states[t], out=states[t + 1])
+            states[t + 1] += (1.0 - z) * n
+        extra = {"hh_n": hh[..., ns:]}
+    preds = states[m] @ params.w_out + params.b_out
+    return preds, ForwardTrace(x, preds, states, gates, **extra)
 
 
 def predict(params: ModelParameters, inputs: np.ndarray) -> np.ndarray:
@@ -230,60 +254,69 @@ def backward(
     if targets.shape != trace.preds.shape:
         raise ShapeMismatch(f"targets {targets.shape} vs predictions {trace.preds.shape}")
 
-    x = trace.inputs
-    bsz, m, _ = x.shape
-    h_size = params.hidden_size
+    gates = trace.gates
+    m, bsz, gh = gates.shape
+    cell, hs = params.cell, params.hidden_size
+    ns = SIGMOID_BLOCKS[cell] * hs
     d_pred = 2.0 * (trace.preds - targets) / targets.size  # (B, T_out)
 
-    g_w_out = trace.h_last.T @ d_pred
+    g_w_out = trace.states[-1].T @ d_pred
     g_b_out = d_pred.sum(axis=0)
     dh = d_pred @ params.w_out.T  # (B, H)
+    w_h_t = _kernel_order(cell, params.w_h, hs).T
+    da = np.empty_like(gates)  # pre-activation gradients, kernel order
 
-    g_w_x = np.zeros_like(params.w_x)
-    g_w_h = np.zeros_like(params.w_h)
-    g_b = np.zeros_like(params.b)
-
-    if params.cell == "lstm":
-        dc = np.zeros((bsz, h_size))
+    if cell == "lstm":
+        # Activation derivatives from the outputs in one whole-row pass per step:
+        # (sel - a) * a + (1 - sel) is s (1 - s) on the sigmoid columns, 1 - g^2 on g.
+        sel = np.zeros(gh)
+        sel[:ns] = 1.0
+        unsel = 1.0 - sel
+        dc = np.zeros((bsz, hs))
         for t in range(m - 1, -1, -1):
-            i, f, g, o = trace.i[t], trace.f[t], trace.g[t], trace.o[t]
+            a = gates[t]
+            i, f, o, g = a[:, :hs], a[:, hs : 2 * hs], a[:, 2 * hs : ns], a[:, ns:]
             tc = trace.tanh_c[t]
-            c_prev = trace.c[t - 1] if t > 0 else np.zeros((bsz, h_size))
-            da_o = (dh * tc) * o * (1.0 - o)
-            dc = dc + dh * o * (1.0 - tc * tc)
-            da_f = (dc * c_prev) * f * (1.0 - f)
-            da_i = (dc * g) * i * (1.0 - i)
-            da_g = (dc * i) * (1.0 - g * g)
-            da = np.concatenate([da_i, da_f, da_g, da_o], axis=1)  # (B, 4H)
-            g_w_x += x[:, t, :].T @ da
-            g_w_h += trace.h_prev[t].T @ da
-            g_b += da.sum(axis=0)
-            dh = da @ params.w_h.T
-            dc = dc * f
+            d = da[t]
+            np.multiply(dh, tc, out=d[:, 2 * hs : ns])
+            dc += dh * o * (1.0 - tc * tc)
+            np.multiply(dc, g, out=d[:, :hs])
+            np.multiply(dc, trace.cells[t], out=d[:, hs : 2 * hs])
+            np.multiply(dc, i, out=d[:, ns:])
+            dv = sel - a
+            dv *= a
+            dv += unsel
+            d *= dv
+            dh = d @ w_h_t
+            dc *= f
     else:
+        # da[t] first holds the gradient at the recurrent pre-activations h' W_h:
+        # r and z see them directly, n through the reset gate (da_n * r).
+        da_n = np.empty((m, bsz, hs))
         for t in range(m - 1, -1, -1):
-            r, z, n, hh_n = trace.r[t], trace.z[t], trace.n[t], trace.hh_n[t]
-            h_prev = trace.h_prev[t]
-            dz = dh * (h_prev - n)
-            da_z = dz * z * (1.0 - z)
-            dn = dh * (1.0 - z)
-            da_n = dn * (1.0 - n * n)
-            dr = da_n * hh_n
-            da_r = dr * r * (1.0 - r)
-            da = np.concatenate([da_r, da_z, da_n], axis=1)  # (B, 3H)
-            g_w_x += x[:, t, :].T @ da
-            g_b += da.sum(axis=0)
-            # Recurrent weights see h_prev directly for r and z, gated for n.
-            g_w_h[:, : 2 * h_size] += h_prev.T @ da[:, : 2 * h_size]
-            g_w_h[:, 2 * h_size :] += h_prev.T @ (da_n * r)
-            dh = (
-                dh * z
-                + da_r @ params.w_h[:, :h_size].T
-                + da_z @ params.w_h[:, h_size : 2 * h_size].T
-                + (da_n * r) @ params.w_h[:, 2 * h_size :].T
-            )
+            sig, n = gates[t, :, :ns], gates[t, :, ns:]
+            r, z = sig[:, :hs], sig[:, hs:]
+            d = da[t]
+            np.multiply(dh, trace.states[t] - n, out=d[:, hs:ns])
+            np.multiply(dh * (1.0 - z), 1.0 - n * n, out=da_n[t])
+            np.multiply(da_n[t], trace.hh_n[t], out=d[:, :hs])
+            d[:, :ns] *= sig * (1.0 - sig)
+            np.multiply(da_n[t], r, out=d[:, ns:])
+            dh = dh * z + d @ w_h_t
 
-    return {"w_x": g_w_x, "w_h": g_w_h, "b": g_b, "w_out": g_w_out, "b_out": g_b_out}
+    da_flat = da.reshape(m * bsz, gh)
+    g_w_h = trace.h_prev.reshape(m * bsz, hs).T @ da_flat
+    if cell == "gru":
+        da[..., ns:] = da_n  # W_x and b see n's pre-activation without the reset gate
+    g_w_x = trace.inputs.transpose(1, 0, 2).reshape(m * bsz, -1).T @ da_flat
+    g_b = da_flat.sum(axis=0)
+    return {
+        "w_x": _kernel_order(cell, g_w_x, hs),
+        "w_h": _kernel_order(cell, g_w_h, hs),
+        "b": _kernel_order(cell, g_b, hs),
+        "w_out": g_w_out,
+        "b_out": g_b_out,
+    }
 
 
 def save_checkpoint(params: ModelParameters, path: str) -> None:
@@ -306,12 +339,19 @@ def save_checkpoint(params: ModelParameters, path: str) -> None:
 
 def load_checkpoint(path: str) -> ModelParameters:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    tensors = {}
-    for name, spec in payload["tensors"].items():
-        tensors[name] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-    return ModelParameters(payload["cell"], **tensors)
+        raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
+    try:
+        tensors = {
+            name: np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+            for name, spec in payload["tensors"].items()
+        }
+        return ModelParameters(payload["cell"], **tensors)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import v2x_loadcast
 from v2x_loadcast.cli import dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
 from v2x_loadcast.errors import ConfigError
@@ -57,6 +62,21 @@ class TestDispatch:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out or True
+
+    def test_python_dash_m_entry(self, tmp_path):
+        src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        run = lambda *argv: subprocess.run(
+            [sys.executable, "-m", "v2x_loadcast", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        shown = run("--help")
+        assert shown.returncode == 0 and "usage:" in shown.stdout
+        bad = run("run", "--config", str(write_config(tmp_path, "lamda = 0.2")))
+        assert bad.returncode == 2
+        assert bad.stderr.strip().splitlines() == [bad.stderr.strip()]
+        assert bad.stderr.startswith("error: ConfigError:")
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "lamda = 0.2")

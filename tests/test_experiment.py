@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from v2x_loadcast.calls import ScenarioConfig
 from v2x_loadcast.errors import DegenerateFeature, EmptyBatch
 from v2x_loadcast.experiment import (
     ExperimentSpec,
+    GridRow,
     RunReport,
     comparison_table,
     grid_specs,
@@ -124,6 +126,21 @@ class TestGrid:
         assert all(row.report is not None for row in rows)
         table = comparison_table(rows)
         assert "Net&Road" in table and len(table.splitlines()) == 8
+
+    def test_table_columns_stay_apart_for_wide_values(self):
+        scenario = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5)
+        spec = ExperimentSpec(scenario)
+        rows = []
+        for mode, mae in (("net", 1522188.1), ("net_road", 2.9)):
+            report = RunReport(
+                spec.scenario_id, 0.2, 0.5, 1.5, mode, 1, mae, mae, mae, mae,
+                1, 1, [1.0], [mae], "0" * 64, 1.0,
+            )
+            rows.append(GridRow(replace(spec, feature_mode=mode), report))
+        header, line = comparison_table(rows).splitlines()
+        fields = line.split()
+        assert fields == [spec.scenario_id, "0.20", "0.50", "1.5", "1522188.1000", "2.9000"]
+        assert len(header.split()) == 6
 
     def test_empty_grid_rejected(self, road6):
         with pytest.raises(ValueError):

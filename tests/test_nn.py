@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from v2x_loadcast.errors import EmptyBatch, ShapeMismatch
+from reference_nn import reference_backward, reference_forward
+from v2x_loadcast.errors import CheckpointError, EmptyBatch, LoadcastError, ShapeMismatch
 from v2x_loadcast.gradcheck import check_random_model, grad_check
 from v2x_loadcast.metrics import loss_mse, metric_mae
 from v2x_loadcast.nn import (
@@ -57,6 +60,18 @@ def reference_scalar_lstm(xs, wx, wh, b, dense_w, dense_b):
     return dense_w * h + dense_b
 
 
+def reference_scalar_gru(xs, wx, wh, b, dense_w, dense_b):
+    """Independent scalar evaluation of the GRU equations; blocks (r, z, n)."""
+    sig = lambda v: 1.0 / (1.0 + math.exp(-v))
+    h = 0.0
+    for x in xs:
+        r = sig(wx[0] * x + wh[0] * h + b[0])
+        z = sig(wx[1] * x + wh[1] * h + b[1])
+        n = math.tanh(wx[2] * x + r * (wh[2] * h) + b[2])
+        h = z * h + (1.0 - z) * n
+    return dense_w * h + dense_b
+
+
 class TestForward:
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_zero_parameters_predict_zero(self, cell):
@@ -88,6 +103,36 @@ class TestForward:
         xs = [1.0, -0.5, 2.0, 0.0, 0.75]
         preds, _ = forward(params, np.array(xs).reshape(1, 5, 1))
         want = reference_scalar_lstm(xs, wx, wh, b, 0.8, 0.25)
+        assert preds[0, 0] == pytest.approx(want, abs=1e-14)
+
+    def test_hand_computed_scalar_gru_value(self):
+        params = ModelParameters(
+            "gru",
+            np.array([[0.5, -0.4, 1.2]]),
+            np.zeros((1, 3)),
+            np.array([0.1, 0.2, -0.3]),
+            np.array([[1.5]]),
+            np.array([0.25]),
+        )
+        preds, _ = forward(params, np.array([[[1.0]]]))
+        # h' = 0: z = s(-0.2), n = tanh(0.9), h = (1 - z) n, pred = 1.5 h + 0.25.
+        assert preds[0, 0] == pytest.approx(0.840767381856916, abs=1e-15)
+
+    def test_gru_matches_scalar_reference_on_sequence(self):
+        wx = [0.4, -0.3, 0.9]
+        wh = [0.6, 0.5, -0.7]
+        b = [0.05, -0.2, 0.1]
+        params = ModelParameters(
+            "gru",
+            np.array([wx]),
+            np.array([wh]),
+            np.array(b, dtype=float),
+            np.array([[0.8]]),
+            np.array([0.25]),
+        )
+        xs = [1.0, -0.5, 2.0, 0.0, 0.75]
+        preds, _ = forward(params, np.array(xs).reshape(1, 5, 1))
+        want = reference_scalar_gru(xs, wx, wh, b, 0.8, 0.25)
         assert preds[0, 0] == pytest.approx(want, abs=1e-14)
 
     def test_deterministic(self):
@@ -172,6 +217,61 @@ class TestBackward:
         _, trace = forward(params, x)
         with pytest.raises(ShapeMismatch):
             backward(params, trace, np.zeros((3, 1)))
+
+
+def _max_norm_error(new, ref):
+    """Largest elementwise error over the reference's largest magnitude.
+
+    The norm is floored at 1e-3 (all compared tensors are O(1e-2) or larger
+    unless their terms cancel), so a tensor that cancels to near zero is
+    held to an absolute 1e-15 instead of a meaningless relative figure.
+    """
+    return float(np.max(np.abs(new - ref)) / max(np.max(np.abs(ref)), 1e-3))
+
+
+class TestKernelOracle:
+    """The fused kernel against the per-step reference in `reference_nn`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cell=st.sampled_from(["lstm", "gru"]),
+        batch=st.sampled_from([1, 2, 32]),
+        window=st.sampled_from([1, 5, 18]),
+        input_size=st.sampled_from([1, 3]),
+        hidden=st.sampled_from([1, 4, 32]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_step_reference(self, cell, batch, window, input_size, hidden, seed):
+        rng = np.random.default_rng(seed)
+        params = init_parameters(cell, input_size, hidden, rng)
+        params.b += rng.normal(0.0, 0.5, params.b.shape)
+        params.b_out += rng.normal(0.0, 0.5, params.b_out.shape)
+        x = rng.normal(0.0, 1.0, (batch, window, input_size))
+        y = rng.normal(0.0, 1.0, (batch, 1))
+
+        preds, trace = forward(params, x)
+        grads = backward(params, trace, y)
+        ref_preds, acts = reference_forward(params, x)
+        ref_grads = reference_backward(params, x, ref_preds, acts, y)
+
+        assert _max_norm_error(preds, ref_preds) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape, name
+            assert _max_norm_error(grads[name], ref) <= 1e-12, name
+        assert np.allclose(trace.h_prev, acts["h_prev"], rtol=0.0, atol=1e-12)
+        if cell == "lstm":
+            assert np.allclose(trace.c, acts["c"], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_parameters_untouched(self, cell):
+        rng = np.random.default_rng(11)
+        params = init_parameters(cell, 3, 4, rng)
+        before = {name: t.copy() for name, t in params.tensors().items()}
+        _, trace = forward(params, rng.normal(size=(2, 5, 3)))
+        backward(params, trace, rng.normal(size=(2, 1)))
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(tensor, before[name]), name
 
 
 class TestGradCheck:
@@ -322,5 +422,24 @@ class TestCheckpoint:
     def test_foreign_json_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"format": "v2x-loadcast-model", "version": 99}),
+            json.dumps({"format": "v2x-loadcast-model", "version": 1}),
+            json.dumps({"format": "v2x-loadcast-model", "version": 1, "cell": "lstm",
+                        "tensors": {"w_x": {"shape": [2, 2], "data": [1.0]}}}),
+            json.dumps([1, 2]),
+            "not json {",
+        ],
+        ids=["version", "no-tensors", "bad-shape", "not-object", "not-json"],
+    )
+    def test_bad_checkpoint_is_typed_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        assert isinstance(info.value, LoadcastError)
