@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroSpeedInterval
+from .errors import ConfigError, ZeroSpeedInterval
 from .road import RoadSeries
 
 DWELL_CAP_MIN = 60.0
@@ -47,13 +47,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError(f"lam {self.lam} < 0")
+            raise ConfigError(f"lam {self.lam} < 0")
         if not 0.0 <= self.handover_prob <= 1.0:
-            raise ValueError(f"handover_prob {self.handover_prob} outside [0, 1]")
+            raise ConfigError(f"handover_prob {self.handover_prob} outside [0, 1]")
         if self.cell_range_miles <= 0:
-            raise ValueError(f"cell_range_miles {self.cell_range_miles} <= 0")
+            raise ConfigError(f"cell_range_miles {self.cell_range_miles} <= 0")
         if self.delta_s <= 0:
-            raise ValueError(f"delta_s {self.delta_s} <= 0")
+            raise ConfigError(f"delta_s {self.delta_s} <= 0")
 
 
 @dataclass(frozen=True)

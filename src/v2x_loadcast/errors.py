@@ -49,8 +49,8 @@ class EmptyBatch(LoadcastError):
     """A metric was requested over zero predictions."""
 
 
-class ConfigError(LoadcastError):
-    """A config file or CLI flag failed validation."""
+class ConfigError(LoadcastError, ValueError):
+    """A config file, CLI flag or constructor argument failed validation."""
 
 
 class CheckpointError(LoadcastError):

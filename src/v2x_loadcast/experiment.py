@@ -8,16 +8,17 @@ collects the per-run reports into a Net vs Net&Road comparison.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
 
 from .calls import ScenarioConfig, simulate_calls
-from .errors import EmptyBatch, InsufficientData, LoadcastError
+from .errors import ConfigError, EmptyBatch, InsufficientData, LoadcastError
 from .features import (
     CALLS_COLUMN,
     FEATURE_NAMES,
@@ -34,7 +35,14 @@ from .rng import derive_int, derive_rng
 from .road import RoadSeries
 from .training import TrainingConfig, TrainingResult, evaluate_mae, train_forecaster
 
-THREADS_ENV = "V2X_LOADCAST_THREADS"
+THREADS_ENV = "V2X_LOADCAST_THREADS"  # caps grid worker processes
+# Thread-count setters of the OpenBLAS builds numpy ships or links against:
+# numpy's own 64-bit build, a system 64-bit build, a system 32-bit build.
+BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 FEATURE_MODES = ("net", "net_road")
 
 
@@ -52,11 +60,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
+            raise ConfigError(f"feature_mode must be one of {FEATURE_MODES}")
         if self.window < 1 or self.horizon < 1:
-            raise ValueError("window and horizon must be >= 1")
+            raise ConfigError("window and horizon must be >= 1")
         if any(r <= 0 for r in self.split):
-            raise ValueError(f"split parts must be positive, got {self.split}")
+            raise ConfigError(f"split parts must be positive, got {self.split}")
 
     @property
     def scenario_id(self) -> str:
@@ -183,31 +191,77 @@ class GridRow:
 
 
 def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
+    """`V2X_LOADCAST_THREADS` if set, else the cores this process may run on."""
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    if not raw:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+
+
+def openblas_function(names: Sequence[str]):
+    """The first of `names` exported by an OpenBLAS mapped into this process, or None.
+
+    Only Linux's /proc/self/maps is read; elsewhere the answer is None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _grid_row(spec: ExperimentSpec, road: RoadSeries) -> GridRow:
+    try:
+        return GridRow(spec, report=run_experiment(spec, road))
+    except LoadcastError as exc:
+        return GridRow(spec, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_scenario_grid(
     specs: Sequence[ExperimentSpec], road: RoadSeries, max_workers: int | None = None
 ) -> list[GridRow]:
-    """Run every spec; per-row failures are recorded and the grid continues."""
+    """Run every spec; per-row failures are recorded and the grid continues.
+
+    Rows run in `min(len(specs), max_workers)` forked worker processes
+    (`max_workers` defaults to `_max_workers()`), each with OpenBLAS pinned
+    to one thread so that workers do not contend for cores. The pool is
+    created and joined inside the call, so no process outlives it. Without
+    `fork` or a known OpenBLAS setter the rows run serially. Reports come
+    back in spec order and do not depend on the worker count.
+    """
     if not specs:
         raise ValueError("empty scenario grid")
-    workers = _max_workers() if max_workers is None else max(1, max_workers)
+    workers = min(len(specs), _max_workers() if max_workers is None else max(1, max_workers))
+    row = partial(_grid_row, road=road)
+    if workers > 1:
+        # Imported here: at module import they would add ~15 ms to every CLI start.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
 
-    def one(spec: ExperimentSpec) -> GridRow:
-        try:
-            return GridRow(spec, report=run_experiment(spec, road))
-        except LoadcastError as exc:
-            return GridRow(spec, error=f"{type(exc).__name__}: {exc}")
-
-    if workers == 1:
-        return [one(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, specs))
+        set_blas_threads = openblas_function(BLAS_SETTERS)
+        if set_blas_threads is not None and "fork" in multiprocessing.get_all_start_methods():
+            set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=set_blas_threads,
+                initargs=(1,),
+            ) as pool:
+                return list(pool.map(row, specs))
+    return [row(s) for s in specs]
 
 
 def table_scenarios(

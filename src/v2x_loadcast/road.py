@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundsError, DegenerateSeries, GapError, MalformedRow
+from .errors import BoundsError, ConfigError, DegenerateSeries, GapError, MalformedRow
 
 SLOT_SECONDS = 300
 POINTS_PER_DAY = 288  # 24 h / 5 min
@@ -238,9 +238,9 @@ def synthesize_road_series(
     and speed in [5, 75] mph; at peak hours the two are negatively correlated.
     """
     if days < 1:
-        raise ValueError("days must be >= 1")
+        raise ConfigError(f"days must be >= 1, got {days}")
     if start_epoch % SLOT_SECONDS != 0:
-        raise ValueError("start_epoch must lie on the 300 s slot grid")
+        raise ConfigError("start_epoch must lie on the 300 s slot grid")
     rng = np.random.default_rng(seed)
 
     hours = (np.arange(POINTS_PER_DAY) * SLOT_SECONDS / 3600.0) % 24.0

@@ -13,7 +13,7 @@ import pytest
 from conftest import steady_series
 from v2x_loadcast.calls import ScenarioConfig, expected_calls, simulate_calls
 from v2x_loadcast.cli import dispatch
-from v2x_loadcast.experiment import ExperimentSpec, run_experiment
+from v2x_loadcast.experiment import ExperimentSpec, run_scenario_grid
 from v2x_loadcast.features import FEATURE_NAMES, discretize_speed, fit_normalizer
 from v2x_loadcast.gradcheck import check_random_model
 from v2x_loadcast.metrics import loss_mse, metric_mae
@@ -45,12 +45,13 @@ def trend_reports(road20):
     }
     wanted = [("base", "net"), ("base", "net_road"), ("h0", "net_road"),
               ("h1", "net_road"), ("wide", "net_road")]
-    reports = {}
-    for key, mode in wanted:
-        for seed in SEEDS:
-            spec = ExperimentSpec(scenarios[key], mode, seed=seed)
-            reports[(key, mode, seed)] = run_experiment(spec, road20)
-    return reports
+    keys = [(key, mode, seed) for key, mode in wanted for seed in SEEDS]
+    rows = run_scenario_grid(
+        [ExperimentSpec(scenarios[key], mode, seed=seed) for key, mode, seed in keys], road20
+    )
+    failed = [f"{key}: {row.error}" for key, row in zip(keys, rows) if row.report is None]
+    assert not failed, failed
+    return {key: row.report for key, row in zip(keys, rows)}
 
 
 def test_criterion_1_gradient_correctness():

@@ -61,7 +61,9 @@ class TestConfig:
 class TestDispatch:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("    ") and line.split()]
+        assert {"run", "grid", "gradcheck"} <= set(listed)
 
     def test_python_dash_m_entry(self, tmp_path):
         src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
@@ -84,6 +86,23 @@ class TestDispatch:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: ConfigError:" in err and "lamda" in err
+
+    def test_synth_zero_days_is_config_error(self, tmp_path, capsys):
+        code = dispatch(["synth", "--days", "0", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "days" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_simulate_negative_lambda_is_config_error(self, tmp_path, capsys):
+        road = tmp_path / "road.csv"
+        assert dispatch(["synth", "--days", "1", "--out", str(road)]) == 0
+        code = dispatch(["simulate", "--road", str(road), "--lambda", "-1", "--h", "0.5",
+                         "--range", "1.5", "--out", str(tmp_path / "calls.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "lam" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,11 +1,17 @@
+import ctypes
+import glob
 import json
+import multiprocessing
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from v2x_loadcast.calls import ScenarioConfig
-from v2x_loadcast.errors import DegenerateFeature, EmptyBatch
+from v2x_loadcast import experiment
+from v2x_loadcast.errors import ConfigError, DegenerateFeature, EmptyBatch
 from v2x_loadcast.experiment import (
     ExperimentSpec,
     GridRow,
@@ -149,8 +155,9 @@ class TestGrid:
     def test_grid_deterministic_and_order_independent(self, road6):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
         serial = run_scenario_grid(specs, road6, max_workers=1)
-        threaded = run_scenario_grid(specs, road6, max_workers=4)
-        for a, b in zip(serial, threaded):
+        parallel = run_scenario_grid(specs, road6, max_workers=2)
+        assert [r.spec for r in parallel] == specs
+        for a, b in zip(serial, parallel):
             da, db = a.report.to_dict(), b.report.to_dict()
             da.pop("wall_ms"), db.pop("wall_ms")
             assert da == db
@@ -158,10 +165,58 @@ class TestGrid:
     def test_failing_row_recorded_grid_continues(self, road6):
         dead = ScenarioConfig(lam=0.0, handover_prob=0.0, cell_range_miles=1.5)
         live = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5)
-        specs = grid_specs([dead, live], seeds=[1], modes=("net_road",), training=TINY)
-        rows = run_scenario_grid(specs, road6)
-        assert rows[0].report is None and "DegenerateFeature" in rows[0].error
-        assert rows[1].report is not None
+        specs = grid_specs([dead, live], seeds=[1, 2], modes=("net_road",), training=TINY)
+        rows = run_scenario_grid(specs, road6, max_workers=2)
+        assert all(r.report is None and "DegenerateFeature" in r.error for r in rows[:2])
+        assert all(r.report is not None and r.error is None for r in rows[2:])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unexpected_error_reaches_caller_with_its_type(self, road6, monkeypatch, workers):
+        monkeypatch.setattr(experiment, "run_experiment", _raise_lookup_error)
+        specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
+        with pytest.raises(LookupError, match="not a LoadcastError"):
+            run_scenario_grid(specs, road6, max_workers=workers)
+
+    def test_no_process_outlives_the_grid(self, road6):
+        specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
+        run_scenario_grid(specs, road6, max_workers=2)
+        assert multiprocessing.active_children() == []
+        children = [Path(p).read_text().split() for p in glob.glob("/proc/self/task/*/children")]
+        assert [pid for pids in children for pid in pids] == []
+
+    def test_rows_run_in_workers_with_one_blas_thread(self, road6, monkeypatch):
+        if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        monkeypatch.setattr(experiment, "run_experiment", _worker_pid_and_blas_threads)
+        specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
+        rows = run_scenario_grid(specs, road6, max_workers=2)
+        assert all(pid != os.getpid() for pid, _ in (row.report for row in rows))
+        assert [threads for _, threads in (row.report for row in rows)] == [1] * len(specs)
+
+    def test_thread_cap_read_from_environment(self, monkeypatch):
+        monkeypatch.setenv(experiment.THREADS_ENV, "3")
+        assert experiment._max_workers() == 3
+        monkeypatch.setenv(experiment.THREADS_ENV, "0")
+        assert experiment._max_workers() == 1
+        monkeypatch.delenv(experiment.THREADS_ENV)
+        assert experiment._max_workers() == len(os.sched_getaffinity(0))
+        monkeypatch.setenv(experiment.THREADS_ENV, "two")
+        with pytest.raises(ConfigError, match=experiment.THREADS_ENV):
+            experiment._max_workers()
+
+
+# Stand-ins for run_experiment. Workers are forked, so a monkeypatched module
+# attribute is what they call.
+def _raise_lookup_error(spec, road):
+    raise LookupError("not a LoadcastError")
+
+
+def _worker_pid_and_blas_threads(spec, road):
+    getter = experiment.openblas_function(
+        [name.replace("_set_", "_get_") for name in experiment.BLAS_SETTERS]
+    )
+    getter.restype = ctypes.c_int
+    return os.getpid(), getter()
 
 
 class TestSpecValidation:
