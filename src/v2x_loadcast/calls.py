@@ -18,7 +18,23 @@ speed s:
   (past its end or inside a day gap) are dropped.
 
 The whole simulation is a pure function of (series, config): one seeded
-generator drives every draw.
+generator drives every draw, in this order and these sizes (V vehicles,
+C calls): `poisson(flows)` (skipped with `exact_flow`), `uniform(0, delta, V)`
+entry offsets, `random(V)` handover flags (only if h > 0), `poisson(lam *
+dwell, V)` calls per vehicle (only if lam > 0), then `uniform(0, 1, C)`
+positions of each call within its vehicle's dwell. Vehicles are stored
+interval by interval, so per-vehicle values are `np.repeat`s of per-interval
+ones. The per-call stage runs in chunks of whole intervals holding about
+`CHUNK_CALLS` calls each, drawing that chunk's part of the last uniform
+stream, which bounds the memory held per call without changing any draw.
+
+A call at instant t is binned on the series' 300-s grid (every timestamp
+lies on the grid of the first): k = floor((t - t0) / 300), lowered by one
+where an exact comparison puts t before grid point k, names the last
+interval i at or before that point, and the call counts there if
+t < timestamps[i] + delta. This is the rule `searchsorted(timestamps, t,
+"right") - 1`, clipped to the series, then `timestamps[i] <= t <
+timestamps[i] + delta`.
 """
 
 from __future__ import annotations
@@ -27,11 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ZeroSpeedInterval
-from .road import RoadSeries
+from .errors import BoundsError, ConfigError, ShapeMismatch
+from .road import SLOT_SECONDS, RoadSeries
 
 DWELL_CAP_MIN = 60.0
 SPEED_FLOOR_MPH = 5.0
+CHUNK_CALLS = 1 << 20  # calls drawn and binned per chunk of whole intervals
 
 
 @dataclass(frozen=True)
@@ -67,9 +84,9 @@ class CallSeries:
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1:
-            raise ValueError("counts must be one-dimensional")
+            raise ShapeMismatch("counts must be one-dimensional")
         if (counts < 0).any():
-            raise ValueError("call counts must be non-negative")
+            raise BoundsError("call counts must be non-negative")
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
@@ -90,10 +107,58 @@ def expected_calls(flow: float, speed: float, config: ScenarioConfig) -> float:
     """
     if flow == 0:
         return 0.0
-    if speed <= 0:
-        raise ZeroSpeedInterval(f"speed {speed} <= 0 with flow {flow} > 0: dwell undefined")
     dwell = float(dwell_minutes(speed, config.cell_range_miles))
     return flow * (config.handover_prob + config.lam * dwell)
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """[0, s0, s0 + s1, ...]: where each of consecutive blocks of these sizes starts, then the end."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _interval_sums(values: np.ndarray, vehicles: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per interval, the sum of `values` over its vehicles `first[i]:first[i + 1]`."""
+    sums = np.zeros(len(vehicles), dtype=np.int64)
+    occupied = vehicles > 0
+    sums[occupied] = np.add.reduceat(values, first[:-1][occupied], dtype=np.int64)
+    return sums
+
+
+class _SlotGrid:
+    """Exact interval lookup for instants on a series whose timestamps share one 300-s grid.
+
+    Arrays are indexed by grid point + 1 over the points -1 .. K+1, where K
+    is the last timestamp's point: `point` is the point's instant, `owner`
+    the last interval at or before it and `end` that interval's end
+    (timestamp + delta; -inf at point -1, so nothing is counted there).
+    """
+
+    def __init__(self, timestamps: np.ndarray, delta: float):
+        self.base = float(timestamps[0] - SLOT_SECONDS)
+        self.top = (int(timestamps[-1]) - int(timestamps[0])) // SLOT_SECONDS + 2
+        points = timestamps[0] + SLOT_SECONDS * np.arange(-1, self.top)
+        self.point = points.astype(np.float64)
+        self.owner = np.maximum(np.searchsorted(timestamps, points, side="right") - 1, 0)
+        self.end = timestamps[self.owner] + delta
+        self.end[0] = -np.inf
+
+    def slots(self, instants: np.ndarray) -> np.ndarray:
+        """Index of the grid point at or before each instant, 0 where no interval covers it.
+
+        The rule is `searchsorted(timestamps, t, "right") - 1` clipped to the
+        series, then kept only if `timestamps[i] <= t < timestamps[i] + delta`.
+        """
+        # Grid offsets are exact integers and rounding is monotone, so the
+        # quotient is never below the true point; next to a point it can be
+        # one above, which one exact comparison with that point undoes.
+        x = (instants - self.base) / SLOT_SECONDS
+        np.clip(x, 1.0, self.top, out=x)
+        k = x.astype(np.intp)
+        k -= instants < self.point[k]
+        k *= instants < self.end[k]
+        return k
 
 
 def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
@@ -109,34 +174,39 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     dwell_min = dwell_minutes(speeds, config.cell_range_miles)  # per interval
     counts = np.zeros(n, dtype=np.int64)
 
-    if config.exact_flow:
-        vehicles = flows.copy()
-    else:
-        vehicles = rng.poisson(flows)
+    vehicles = flows.copy() if config.exact_flow else rng.poisson(flows)
     total_vehicles = int(vehicles.sum())
     if total_vehicles == 0:
         return CallSeries(counts, 0, zero_speed)
-
-    entry_interval = np.repeat(np.arange(n), vehicles)
+    first = _starts(vehicles)  # interval i holds vehicles first[i]:first[i + 1]
     entry_offset = rng.uniform(0.0, delta, total_vehicles)
 
     if config.handover_prob > 0:
         handed = rng.random(total_vehicles) < config.handover_prob
-        counts += np.bincount(entry_interval[handed], minlength=n)
+        counts += _interval_sums(handed, vehicles, first)
 
     if config.lam > 0:
-        per_vehicle = rng.poisson(config.lam * dwell_min[entry_interval])
-        total_calls = int(per_vehicle.sum())
+        per_vehicle = rng.poisson(np.repeat(config.lam * dwell_min, vehicles))
+        per_interval = _interval_sums(per_vehicle, vehicles, first)
+        calls_before = _starts(per_interval)
+        total_calls = int(calls_before[-1])
         if total_calls:
-            src = np.repeat(np.arange(total_vehicles), per_vehicle)
-            entry_abs = timestamps[entry_interval] + entry_offset
-            dwell_s = dwell_min[entry_interval] * 60.0
-            call_abs = entry_abs[src] + rng.uniform(0.0, 1.0, total_calls) * dwell_s[src]
-            # Map instants back onto recorded intervals; instants past the end
-            # or inside a day gap are not served by this series and drop out.
-            idx = np.searchsorted(timestamps, call_abs, side="right") - 1
-            idx = np.clip(idx, 0, n - 1)
-            inside = (call_abs >= timestamps[idx]) & (call_abs < timestamps[idx] + delta)
-            counts += np.bincount(idx[inside], minlength=n)
+            grid = _SlotGrid(timestamps, delta)
+            hits = np.zeros(len(grid.point), dtype=np.int64)
+            entry_ts = timestamps.astype(np.float64)
+            dwell_s = dwell_min * 60.0
+            # Chunks of whole intervals with about CHUNK_CALLS calls each; the
+            # per-call uniforms are drawn chunk by chunk, which is the same stream.
+            cuts = np.searchsorted(calls_before, np.arange(CHUNK_CALLS, total_calls, CHUNK_CALLS))
+            edges = np.unique(np.concatenate(([0], cuts, [n])))
+            for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
+                calls = per_interval[a:b]
+                own = slice(first[a], first[b])  # the chunk's vehicles
+                call_abs = np.repeat(entry_ts[a:b], calls) + np.repeat(
+                    entry_offset[own], per_vehicle[own]
+                )
+                call_abs += rng.uniform(0.0, 1.0, len(call_abs)) * np.repeat(dwell_s[a:b], calls)
+                hits += np.bincount(grid.slots(call_abs), minlength=len(hits))
+            np.add.at(counts, grid.owner[1:], hits[1:])
 
     return CallSeries(counts, total_vehicles, zero_speed)

@@ -21,16 +21,12 @@ class GapError(LoadcastError):
         self.slot = slot
 
 
-class BoundsError(LoadcastError):
-    """A parsed value lies outside its sanity range (negative flow, speed > 120 mph, ...)."""
+class BoundsError(LoadcastError, ValueError):
+    """A value lies outside its sanity range (negative flow or count, speed > 120 mph, ...)."""
 
 
 class DegenerateSeries(LoadcastError):
     """A correlation was requested over a variable with zero variance."""
-
-
-class ZeroSpeedInterval(LoadcastError):
-    """Dwell time is undefined because the interval speed is zero while flow is positive."""
 
 
 class DegenerateFeature(LoadcastError):
@@ -41,8 +37,8 @@ class InsufficientData(LoadcastError):
     """The series is too short (or misaligned) for the requested windows or split."""
 
 
-class ShapeMismatch(LoadcastError):
-    """Tensor shapes are inconsistent with the model configuration."""
+class ShapeMismatch(LoadcastError, ValueError):
+    """Array shapes or lengths disagree: model tensors, windows, aligned series."""
 
 
 class EmptyBatch(LoadcastError):

@@ -12,7 +12,6 @@ import ctypes
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
@@ -230,6 +229,20 @@ def _grid_row(spec: ExperimentSpec, road: RoadSeries) -> GridRow:
         return GridRow(spec, error=f"{type(exc).__name__}: {exc}")
 
 
+_worker_road: RoadSeries | None = None  # the grid's road, in a forked worker
+
+
+def _init_worker(set_blas_threads, road: RoadSeries) -> None:
+    """Pin OpenBLAS to one thread and keep the road; `fork` hands both over unpickled."""
+    global _worker_road
+    set_blas_threads(1)
+    _worker_road = road
+
+
+def _worker_row(spec: ExperimentSpec) -> GridRow:
+    return _grid_row(spec, _worker_road)
+
+
 def run_scenario_grid(
     specs: Sequence[ExperimentSpec], road: RoadSeries, max_workers: int | None = None
 ) -> list[GridRow]:
@@ -237,7 +250,8 @@ def run_scenario_grid(
 
     Rows run in `min(len(specs), max_workers)` forked worker processes
     (`max_workers` defaults to `_max_workers()`), each with OpenBLAS pinned
-    to one thread so that workers do not contend for cores. The pool is
+    to one thread so that workers do not contend for cores. Workers get the
+    road once, at fork, so tasks carry only their spec. The pool is
     created and joined inside the call, so no process outlives it. Without
     `fork` or a known OpenBLAS setter the rows run serially. Reports come
     back in spec order and do not depend on the worker count.
@@ -245,7 +259,6 @@ def run_scenario_grid(
     if not specs:
         raise ValueError("empty scenario grid")
     workers = min(len(specs), _max_workers() if max_workers is None else max(1, max_workers))
-    row = partial(_grid_row, road=road)
     if workers > 1:
         # Imported here: at module import they would add ~15 ms to every CLI start.
         import multiprocessing
@@ -257,11 +270,11 @@ def run_scenario_grid(
             with ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=set_blas_threads,
-                initargs=(1,),
+                initializer=_init_worker,
+                initargs=(set_blas_threads, road),
             ) as pool:
-                return list(pool.map(row, specs))
-    return [row(s) for s in specs]
+                return list(pool.map(_worker_row, specs))
+    return [_grid_row(s, road) for s in specs]
 
 
 def table_scenarios(

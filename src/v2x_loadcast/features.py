@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calls import CallSeries
-from .errors import DegenerateFeature, InsufficientData
+from .errors import BoundsError, ConfigError, DegenerateFeature, InsufficientData, ShapeMismatch
 from .road import POINTS_PER_DAY, RoadSeries
 
 FEATURE_NAMES = ("flow", "speed_level", "calls")
@@ -25,43 +26,31 @@ CALLS_COLUMN = 2
 _LO, _HI, _BINS = 20.0, 60.0, 6  # levels 2..7 partition [20, 60) into 6 equal bins
 
 
-def discretize_speed(speed: float) -> int:
-    """Map mph to a level in 1..8: 1 below 20 mph, 8 at 60 mph and above."""
-    if speed < 0:
-        raise ValueError(f"speed {speed} < 0")
-    if speed < _LO:
-        return 1
-    if speed >= _HI:
-        return 8
-    return 2 + min(int((speed - _LO) * _BINS / (_HI - _LO)), _BINS - 1)
-
-
 def discretize_speeds(speeds: np.ndarray) -> np.ndarray:
-    """Vectorized `discretize_speed`."""
+    """Map mph to levels in 1..8: 1 below 20 mph, 8 at 60 mph and above."""
     speeds = np.asarray(speeds, dtype=np.float64)
-    if (speeds < 0).any():
-        raise ValueError("speeds must be non-negative")
+    if not (speeds >= 0).all():
+        raise BoundsError("speeds must be non-negative numbers")
+    # Clipping changes no level but keeps the integer cast away from inf.
     inner = 2 + np.minimum(
-        ((speeds - _LO) * _BINS / (_HI - _LO)).astype(np.int64), _BINS - 1
+        ((np.clip(speeds, _LO, _HI) - _LO) * _BINS / (_HI - _LO)).astype(np.int64), _BINS - 1
     )
     return np.where(speeds < _LO, 1, np.where(speeds >= _HI, 8, inner)).astype(np.int64)
 
 
-def build_feature_matrix(
-    road: RoadSeries, calls: CallSeries, discretize: bool = True
-) -> np.ndarray:
-    """Raw (n, 3) matrix of flow, speed level, call count.
+def discretize_speed(speed: float) -> int:
+    """Scalar `discretize_speeds`."""
+    return int(discretize_speeds(speed))
 
-    `discretize=False` keeps raw mph in the speed column for comparing the
-    two preprocessing paths; the standard pipeline uses the 8-level form.
-    """
+
+def build_feature_matrix(road: RoadSeries, calls: CallSeries) -> np.ndarray:
+    """Raw (n, 3) matrix of flow, speed level (1..8), call count."""
     if len(calls) != len(road):
-        raise ValueError(f"call series length {len(calls)} != road series length {len(road)}")
-    speed_col = discretize_speeds(road.speeds) if discretize else road.speeds
+        raise ShapeMismatch(f"call series length {len(calls)} != road series length {len(road)}")
     return np.column_stack(
         [
             road.flows.astype(np.float64),
-            speed_col.astype(np.float64),
+            discretize_speeds(road.speeds).astype(np.float64),
             calls.counts.astype(np.float64),
         ]
     )
@@ -99,7 +88,7 @@ def fit_normalizer(
     if x.shape[0] < 2:
         raise InsufficientData(f"need >= 2 samples to fit a normalizer, got {x.shape[0]}")
     if x.shape[1] != len(feature_names):
-        raise ValueError(f"{x.shape[1]} columns but {len(feature_names)} feature names")
+        raise ShapeMismatch(f"{x.shape[1]} columns but {len(feature_names)} feature names")
     mean = x.mean(axis=0)
     std = x.std(axis=0)  # population estimator, divisor n
     for name, s in zip(feature_names, std):
@@ -119,9 +108,9 @@ class WindowSet:
 
     def __post_init__(self):
         if self.inputs.ndim != 3 or self.targets.ndim != 2:
-            raise ValueError("inputs must be (k, M, d) and targets (k, T)")
+            raise ShapeMismatch("inputs must be (k, M, d) and targets (k, T)")
         if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ValueError("inputs and targets disagree on window count")
+            raise ShapeMismatch("inputs and targets disagree on window count")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -165,7 +154,7 @@ def slice_windows(
         x = x[:, None]
     n = x.shape[0]
     if m < 1 or t < 1:
-        raise ValueError("window length and horizon must be >= 1")
+        raise ConfigError("window length and horizon must be >= 1")
     span = m + t
     if n - span + 1 <= 0:
         raise InsufficientData(f"{n} samples cannot host a window of {m}+{t}")
@@ -180,15 +169,16 @@ def slice_windows(
         if starts.size == 0:
             raise InsufficientData("every candidate window straddles a gap")
 
-    inputs = np.stack([x[s : s + m] for s in starts])
-    targets = np.stack([y[s + m : s + span] for s in starts])
+    # Fancy indexing copies the selected windows into C-contiguous arrays.
+    inputs = sliding_window_view(x, (m, x.shape[1]))[starts, 0]
+    targets = sliding_window_view(y, t)[starts + m]
     return WindowSet(inputs, targets)
 
 
 def split_day_counts(days: int, ratios: tuple[int, int, int]) -> tuple[int, int, int]:
     """Allocate whole days to train/val/test by ratio; val/test floored, min 1."""
     if any(r <= 0 for r in ratios):
-        raise ValueError(f"split ratios must be positive, got {ratios}")
+        raise ConfigError(f"split ratios must be positive, got {ratios}")
     total = sum(ratios)
     val_days = max(1, days * ratios[1] // total)
     test_days = max(1, days * ratios[2] // total)
@@ -217,7 +207,7 @@ def make_windows(
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y must align")
+        raise ShapeMismatch("x and y must align")
     if split is None:
         return slice_windows(x, y, m, t, gap_indices)
 
@@ -241,4 +231,4 @@ def select_mode_columns(matrix: np.ndarray, mode: str) -> np.ndarray:
         return matrix[:, [CALLS_COLUMN]]
     if mode == "net_road":
         return matrix
-    raise ValueError(f"unknown feature mode {mode!r}")
+    raise ConfigError(f"unknown feature mode {mode!r}")

@@ -16,7 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, DegenerateSeries, GapError, MalformedRow
+from .errors import (
+    BoundsError,
+    ConfigError,
+    DegenerateSeries,
+    GapError,
+    MalformedRow,
+    ShapeMismatch,
+)
 
 SLOT_SECONDS = 300
 POINTS_PER_DAY = 288  # 24 h / 5 min
@@ -51,9 +58,10 @@ class RoadSeries:
     """Validated, whole-day road series.
 
     Invariants enforced at construction: length is a multiple of 288,
-    timestamps strictly increase, and within each day block of 288 records
-    consecutive timestamps differ by exactly 300 s. Blocks may be separated
-    by larger gaps (skipped weekends in work-day data).
+    timestamps strictly increase, within each day block of 288 records
+    consecutive timestamps differ by exactly 300 s, and every timestamp lies
+    on the 300-s grid of the first one. Blocks may be separated by larger
+    gaps (skipped weekends in work-day data).
     """
 
     records: tuple[RoadRecord, ...]
@@ -66,15 +74,24 @@ class RoadSeries:
             raise GapError(
                 f"series length {n} is not a whole number of {POINTS_PER_DAY}-slot days"
             )
-        ts = [r.timestamp for r in self.records]
-        for k in range(1, n):
-            if ts[k] <= ts[k - 1]:
+        ts = self.timestamps
+        step = np.diff(ts)
+        bad = (step <= 0) | ((step != SLOT_SECONDS) & (np.arange(1, n) % POINTS_PER_DAY != 0))
+        if bad.any():
+            k = int(np.argmax(bad)) + 1
+            if step[k - 1] <= 0:
                 raise MalformedRow(f"timestamps not strictly increasing at index {k}")
-            if k % POINTS_PER_DAY != 0 and ts[k] - ts[k - 1] != SLOT_SECONDS:
-                raise GapError(
-                    f"non-{SLOT_SECONDS}s spacing inside a day at timestamp {ts[k]}",
-                    slot=ts[k - 1] + SLOT_SECONDS,
-                )
+            raise GapError(
+                f"non-{SLOT_SECONDS}s spacing inside a day at timestamp {ts[k]}",
+                slot=int(ts[k - 1]) + SLOT_SECONDS,
+            )
+        off_grid = (ts - ts[0]) % SLOT_SECONDS != 0
+        if off_grid.any():
+            k = int(np.argmax(off_grid))
+            raise GapError(
+                f"timestamp {ts[k]} at index {k} is off the {SLOT_SECONDS}s grid of the first "
+                f"timestamp {ts[0]}"
+            )
 
     @property
     def days(self) -> int:
@@ -162,12 +179,12 @@ def parse_road_csv(
     record into each missing slot.
     """
     if impute not in (None, "hold"):
-        raise ValueError(f"unknown impute mode {impute!r}")
+        raise ConfigError(f"unknown impute mode {impute!r}")
     names = {"timestamp": "timestamp", "flow": "flow", "speed": "speed"}
     if column_map:
         unknown = set(column_map) - set(names)
         if unknown:
-            raise ValueError(f"column_map keys must be timestamp/flow/speed, got {sorted(unknown)}")
+            raise ConfigError(f"column_map keys must be timestamp/flow/speed, got {sorted(unknown)}")
         names.update(column_map)
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -331,8 +348,8 @@ def correlation_report(series: RoadSeries, calls: np.ndarray | None = None) -> n
     columns = [("flow", series.flows.astype(np.float64)), ("speed", series.speeds)]
     if calls is not None:
         calls = np.asarray(calls, dtype=np.float64)
-        if calls.shape != (len(series),) :
-            raise ValueError("calls must align 1:1 with the road series")
+        if calls.shape != (len(series),):
+            raise ShapeMismatch("calls must align 1:1 with the road series")
         columns.append(("calls", calls))
     for name, col in columns:
         if np.ptp(col) == 0.0:

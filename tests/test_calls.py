@@ -4,15 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import steady_series
+from reference_calls import reference_simulate_calls
+from v2x_loadcast import calls as calls_module
 from v2x_loadcast.calls import (
     CallSeries,
     ScenarioConfig,
+    _SlotGrid,
     dwell_minutes,
     expected_calls,
     simulate_calls,
 )
-from v2x_loadcast.errors import ZeroSpeedInterval
-from v2x_loadcast.road import POINTS_PER_DAY, SLOT_SECONDS, RoadRecord, RoadSeries
+from v2x_loadcast.experiment import table_scenarios
+from v2x_loadcast.road import (
+    POINTS_PER_DAY,
+    SLOT_SECONDS,
+    RoadRecord,
+    RoadSeries,
+    synthesize_road_series,
+)
 
 # 35 whole days ~= 10^4 intervals for the statistical checks
 DAYS_10K = 35
@@ -39,10 +48,11 @@ class TestExpectedCalls:
         # 100 * (0.5 + 0.2 * 1.5) with a 1.5-minute dwell at 60 mph
         assert expected_calls(100, 60.0, cfg) == pytest.approx(80.0, abs=1e-12)
 
-    def test_zero_speed_raises(self):
+    def test_zero_speed_uses_floor(self):
+        # The oracle applies the simulator's 5 mph floor instead of failing.
         cfg = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5)
-        with pytest.raises(ZeroSpeedInterval):
-            expected_calls(10, 0.0, cfg)
+        assert expected_calls(10, 0.0, cfg) == expected_calls(10, 5.0, cfg)
+        assert expected_calls(10, 0.0, cfg) == pytest.approx(10 * (0.5 + 0.2 * 18.0))
 
     def test_dwell_cap_and_floor(self):
         assert dwell_minutes(1.0, 100.0) == 60.0  # floored to 5 mph, capped at 60 min
@@ -136,6 +146,11 @@ class TestSimulate:
         assert calls.zero_speed_intervals == 1
         assert (calls.counts >= 0).all()
 
+    def test_zero_speed_mean_matches_floored_oracle(self):
+        series = steady_series(DAYS_10K, 100, 0.0)
+        cfg = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5, seed=31)
+        mc_mean_check(series, cfg, expected_calls(100, 0.0, cfg))
+
     def test_dwell_spills_into_following_intervals(self):
         # One vehicle-heavy interval, then empty ones; a 60-minute dwell spreads
         # calls over the following 12 slots.
@@ -182,3 +197,77 @@ class TestTypes:
     def test_call_series_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             CallSeries(np.array([1, -2, 3]))
+
+
+def gapped_series(seed: int, days: int, start: int, gaps: list[int]) -> RoadSeries:
+    """Random day blocks, block d + 1 starting gaps[d] slots after block d ends.
+
+    About a fifth of the flows and of the speeds are zero.
+    """
+    rng = np.random.default_rng(seed)
+    n = days * POINTS_PER_DAY
+    slots = np.arange(n) + np.repeat(np.cumsum([0] + gaps), POINTS_PER_DAY)
+    flows = np.where(rng.random(n) < 0.2, 0, rng.integers(0, 12, n))
+    speeds = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 120.0, n))
+    return RoadSeries(tuple(
+        RoadRecord(start + int(k) * SLOT_SECONDS, int(f), float(v))
+        for k, f, v in zip(slots, flows, speeds)
+    ))
+
+
+class TestAgainstReference:
+    """`simulate_calls` against the gather-and-searchsorted oracle: identical counts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        days=st.integers(min_value=1, max_value=3),
+        start=st.sampled_from([0, 300, 1_616_976_000, 4_102_444_800]),
+        gaps=st.lists(st.sampled_from([0, 1, 3, 12, 288, 1000]), min_size=2, max_size=2),
+        lam=st.sampled_from([0.0, 0.05, 0.4, 1.5]),
+        handover=st.sampled_from([0.0, 0.3, 1.0]),
+        cell_range=st.sampled_from([0.2, 1.5, 6.0]),
+        delta_s=st.sampled_from([1, 60, 299, 300, 301, 450, 1000, 4000]),
+        exact_flow=st.booleans(),
+        chunk=st.sampled_from([1, 7, 1 << 20]),
+    )
+    def test_counts_identical(
+        self, seed, days, start, gaps, lam, handover, cell_range, delta_s, exact_flow, chunk
+    ):
+        series = gapped_series(seed, days, start, gaps[: days - 1])
+        cfg = ScenarioConfig(lam, handover, cell_range, delta_s, seed, exact_flow)
+        want = reference_simulate_calls(series, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calls_module, "CHUNK_CALLS", chunk)
+            got = simulate_calls(series, cfg)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.vehicles_total == want.vehicles_total
+        assert got.zero_speed_intervals == want.zero_speed_intervals
+
+    def test_table_scenarios_identical(self):
+        series = synthesize_road_series(5, 3)
+        for k, scenario in enumerate(table_scenarios()):
+            cfg = ScenarioConfig(
+                scenario.lam, scenario.handover_prob, scenario.cell_range_miles, seed=k
+            )
+            want = reference_simulate_calls(series, cfg)
+            got = simulate_calls(series, cfg)
+            assert np.array_equal(got.counts, want.counts), k
+            assert got.vehicles_total == want.vehicles_total
+
+    @pytest.mark.parametrize("delta", [1.0, 300.0, 450.0, 4000.0])
+    def test_slot_lookup_at_grid_points(self, delta):
+        # Instants on and one ulp either side of every grid point, across a day
+        # gap and past both ends, against the searchsorted rule.
+        series = gapped_series(1, 2, 1_616_976_000, [5])
+        ts = series.timestamps
+        grid = _SlotGrid(ts, delta)
+        points = (ts[0] + SLOT_SECONDS * np.arange(-3, len(ts) + 30)).astype(np.float64)
+        t = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+                            points + delta, np.nextafter(points + delta, -np.inf)])
+        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
+        inside = (t >= ts[idx]) & (t < ts[idx] + delta)
+        k = grid.slots(t)
+        assert k.min() >= 0 and k.max() < len(grid.owner)
+        assert np.array_equal(k != 0, inside)
+        assert np.array_equal(grid.owner[k[inside]], idx[inside])

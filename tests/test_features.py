@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from v2x_loadcast.calls import CallSeries
-from v2x_loadcast.errors import DegenerateFeature, InsufficientData
+from v2x_loadcast.errors import DegenerateFeature, InsufficientData, LoadcastError
 from v2x_loadcast.features import (
     FEATURE_NAMES,
+    WindowSet,
     build_feature_matrix,
     discretize_speed,
     discretize_speeds,
@@ -16,7 +17,7 @@ from v2x_loadcast.features import (
     slice_windows,
     split_day_counts,
 )
-from v2x_loadcast.road import synthesize_road_series
+from v2x_loadcast.road import parse_road_csv, synthesize_road_series
 
 # Pinned 8-level mapping for the probe speeds.
 PROBE_TABLE = {0: 1, 15: 1, 19.99: 1, 20: 2, 33: 3, 40: 5, 59.99: 7, 60: 8, 65: 8, 100: 8}
@@ -161,6 +162,35 @@ class TestWindows:
         ]
         assert ws.inputs[:, 0, 0].astype(int).tolist() == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=80),
+        d=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=12),
+        t=st.integers(min_value=1, max_value=4),
+        offset=st.integers(min_value=0, max_value=30),
+        gaps=st.lists(st.integers(min_value=-5, max_value=120), max_size=6),
+        strided=st.booleans(),
+    )
+    def test_windows_match_stacked_slices(self, n, d, m, t, offset, gaps, strided):
+        # The windows equal the per-start stacked slices, whatever the gaps,
+        # and come back C-contiguous even from a strided column view.
+        rng = np.random.default_rng(n * 1000 + d)
+        wide = rng.normal(size=(n, d + 2))
+        x = wide[:, 1 : d + 1] if strided else np.ascontiguousarray(wide[:, :d])
+        y = wide[:, -1]
+        span = m + t
+        local = [g - offset for g in gaps if 0 < g - offset < n]
+        starts = [s for s in range(n - span + 1) if not any(s < g < s + span for g in local)]
+        if not starts:
+            with pytest.raises(InsufficientData):
+                slice_windows(x, y, m, t, gaps, offset)
+            return
+        ws = slice_windows(x, y, m, t, gaps, offset)
+        assert np.array_equal(ws.inputs, np.stack([x[s : s + m] for s in starts]))
+        assert np.array_equal(ws.targets, np.stack([y[s + m : s + span] for s in starts]))
+        assert ws.inputs.flags.c_contiguous and ws.targets.flags.c_contiguous
+
     def test_split_requires_whole_days(self):
         x = np.arange(100.0)
         with pytest.raises(InsufficientData):
@@ -203,3 +233,39 @@ class TestFusion:
             sel = select_mode_columns(mat, mode)
             split = make_windows(sel, sel[:, -1], 18, 1, (3, 1, 1))
             assert split.train.input_dim == dim
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CallSeries(np.zeros((2, 2), dtype=np.int64)),
+        lambda: CallSeries(np.array([1, -2, 3])),
+        lambda: WindowSet(np.zeros((2, 3)), np.zeros((2, 1))),
+        lambda: WindowSet(np.zeros((2, 3, 1)), np.zeros((3, 1))),
+        lambda: slice_windows(np.arange(30.0), np.arange(30.0), 0, 1),
+        lambda: discretize_speed(-1.0),
+        lambda: discretize_speeds(np.array([10.0, np.nan])),
+        lambda: select_mode_columns(np.zeros((4, 3)), "road"),
+        lambda: build_feature_matrix(synthesize_road_series(1, 2), CallSeries(np.arange(10))),
+        lambda: parse_road_csv("unused.csv", impute="mean"),
+        lambda: parse_road_csv("unused.csv", column_map={"volume": "Total Flow"}),
+    ],
+    ids=[
+        "call-series-ndim",
+        "call-series-negative",
+        "window-set-ndim",
+        "window-set-count",
+        "slice-windows-m",
+        "discretize-speed",
+        "discretize-speeds-nan",
+        "select-mode-columns",
+        "feature-matrix-length",
+        "parse-impute",
+        "parse-column-map",
+    ],
+)
+def test_data_path_errors_are_typed(call):
+    # LoadcastError for the CLI, ValueError for callers that catch that.
+    with pytest.raises(LoadcastError) as info:
+        call()
+    assert isinstance(info.value, ValueError)

@@ -183,6 +183,29 @@ class TestInvariants:
         with pytest.raises((GapError, MalformedRow)):
             RoadSeries(tuple(base))
 
+    def test_day_block_off_the_grid_rejected(self):
+        # A second day block shifted by 60 s keeps its in-day spacing but
+        # leaves the first block's 300-s grid.
+        records = [RoadRecord(k * SLOT_SECONDS, 5, 60.0) for k in range(POINTS_PER_DAY)]
+        records += [
+            RoadRecord(86_400 + 60 + k * SLOT_SECONDS, 5, 60.0) for k in range(POINTS_PER_DAY)
+        ]
+        with pytest.raises(GapError, match="off the 300s grid"):
+            RoadSeries(tuple(records))
+
+    def test_validation_names_first_bad_record(self):
+        base = [RoadRecord(k * SLOT_SECONDS, 10, 60.0) for k in range(2 * POINTS_PER_DAY)]
+        repeated = list(base)
+        repeated[8] = RoadRecord(7 * SLOT_SECONDS, 10, 60.0)
+        with pytest.raises(MalformedRow, match="not strictly increasing at index 8$"):
+            RoadSeries(tuple(repeated))
+        moved = list(base)
+        moved[300] = RoadRecord(300 * SLOT_SECONDS + 600, 10, 60.0)
+        stamp = 300 * SLOT_SECONDS + 600
+        with pytest.raises(GapError, match=f"inside a day at timestamp {stamp}$") as info:
+            RoadSeries(tuple(moved))
+        assert info.value.slot == 300 * SLOT_SECONDS
+
     def test_multi_day_gap_between_days_allowed(self):
         # Friday -> Monday style gap: day blocks need not be adjacent.
         records = [RoadRecord(k * SLOT_SECONDS, 5, 60.0) for k in range(POINTS_PER_DAY)]
