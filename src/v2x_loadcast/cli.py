@@ -111,8 +111,8 @@ def _write_outputs(rows: list[GridRow], out_dir: Path) -> None:
     lines = [METRICS_HEADER]
     for row in rows:
         if row.report is None:
-            print(f"warning: {row.spec.scenario_id}/{row.spec.feature_mode}/seed{row.spec.seed} "
-                  f"failed: {row.error}", file=sys.stderr)
+            print(f"error: {row.error} (row {row.spec.scenario_id}/{row.spec.feature_mode}/"
+                  f"seed{row.spec.seed})", file=sys.stderr)
             continue
         r = row.report
         lines.append(

@@ -51,3 +51,7 @@ class ConfigError(LoadcastError, ValueError):
 
 class CheckpointError(LoadcastError):
     """A model checkpoint is not readable: wrong format or version, or malformed content."""
+
+
+class Diverged(LoadcastError):
+    """Training produced a non-finite epoch loss or validation MAE."""

@@ -257,7 +257,7 @@ def run_scenario_grid(
     back in spec order and do not depend on the worker count.
     """
     if not specs:
-        raise ValueError("empty scenario grid")
+        raise ConfigError("empty scenario grid")
     workers = min(len(specs), _max_workers() if max_workers is None else max(1, max_workers))
     if workers > 1:
         # Imported here: at module import they would add ~15 ms to every CLI start.

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import Diverged, InsufficientData
 from .features import WindowSet
 from .metrics import loss_mse, metric_mae
 from .nn import ModelParameters, backward, forward, init_parameters, predict
@@ -34,20 +34,31 @@ class TrainingResult:
     epochs_run: int = 0
 
 
-def evaluate_mae(params: ModelParameters, windows: WindowSet, batch: int = 512) -> float:
+EVAL_BATCH = 512  # windows per evaluation forward call
+
+
+def evaluate_mae(params: ModelParameters, windows: WindowSet) -> float:
     preds = np.concatenate(
-        [predict(params, windows.inputs[s : s + batch]) for s in range(0, len(windows), batch)]
+        [
+            predict(params, windows.inputs[s : s + EVAL_BATCH])
+            for s in range(0, len(windows), EVAL_BATCH)
+        ]
     )
     return metric_mae(preds, windows.targets)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run raises Diverged instead
 def train_forecaster(
     train: WindowSet,
     val: WindowSet,
     config: TrainingConfig,
     rng: np.random.Generator,
 ) -> TrainingResult:
-    """Train with RMSProp; keep the weights of the best validation epoch."""
+    """Train with RMSProp; keep the weights of the best validation epoch.
+
+    Raises `Diverged` as soon as an epoch's mean training loss or its
+    validation MAE is not finite.
+    """
     if len(train) == 0 or len(val) == 0:
         raise InsufficientData("training and validation window sets must be non-empty")
     params = init_parameters(
@@ -69,8 +80,13 @@ def train_forecaster(
             batch_losses.append(loss_mse(preds, train.targets[idx]))
             grads = backward(params, trace, train.targets[idx])
             rmsprop_step(params, grads, state)
-        result.train_losses.append(float(np.mean(batch_losses)))
+        train_loss = float(np.mean(batch_losses))
+        if not np.isfinite(train_loss):
+            raise Diverged(f"epoch {epoch}: mean training loss is {train_loss}")
+        result.train_losses.append(train_loss)
         val_mae = evaluate_mae(params, val)
+        if not np.isfinite(val_mae):
+            raise Diverged(f"epoch {epoch}: validation MAE is {val_mae}")
         result.val_maes.append(val_mae)
         result.epochs_run = epoch
 

@@ -184,6 +184,14 @@ class TestDispatch:
         assert dispatch(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "DegenerateFeature" in capsys.readouterr().err
 
+    def test_diverged_run_prints_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_RUN + "learning_rate = 1e200\n")
+        out = tmp_path / "o"
+        assert dispatch(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Diverged: epoch 1: "), err
+        assert (out / "metrics.csv").read_text().count("\n") == 1  # the header alone
+
     def test_gradcheck_passes(self, capsys):
         assert dispatch(["gradcheck", "--seeds", "4"]) == 0
         assert "PASS" in capsys.readouterr().out

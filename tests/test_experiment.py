@@ -149,8 +149,9 @@ class TestGrid:
         assert len(header.split()) == 6
 
     def test_empty_grid_rejected(self, road6):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="empty scenario grid") as info:
             run_scenario_grid([], road6)
+        assert isinstance(info.value, ValueError)
 
     def test_grid_deterministic_and_order_independent(self, road6):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
@@ -179,6 +180,14 @@ class TestGrid:
         rows = run_scenario_grid(specs, road6, max_workers=2)
         assert all(r.report is None and "DegenerateFeature" in r.error for r in rows[:2])
         assert all(r.report is not None and r.error is None for r in rows[2:])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverged_row_recorded_grid_continues(self, road6, workers):
+        ok = small_spec()
+        diverging = small_spec(training=replace(TINY, learning_rate=1e200))
+        rows = run_scenario_grid([diverging, ok], road6, max_workers=workers)
+        assert rows[0].report is None and rows[0].error.startswith("Diverged: epoch 1:")
+        assert rows[1].report is not None and rows[1].error is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unexpected_error_reaches_caller_with_its_type(self, road6, monkeypatch, workers):

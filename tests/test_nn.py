@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_nn import reference_backward, reference_forward
+from v2x_loadcast import nn
 from v2x_loadcast.errors import CheckpointError, EmptyBatch, LoadcastError, ShapeMismatch
 from v2x_loadcast.gradcheck import check_random_model, grad_check
 from v2x_loadcast.metrics import loss_mse, metric_mae
@@ -262,6 +263,22 @@ class TestKernelOracle:
         assert np.allclose(trace.h_prev, acts["h_prev"], rtol=0.0, atol=1e-12)
         if cell == "lstm":
             assert np.allclose(trace.c, acts["c"], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_derivative_blocks_do_not_change_a_bit(self, cell, monkeypatch):
+        rng = np.random.default_rng(17)
+        params = init_parameters(cell, 3, 4, rng)
+        x = rng.normal(0.0, 1.0, (3, 7, 3))
+        y = rng.normal(0.0, 1.0, (3, 1))
+        _, trace = forward(params, x)
+        step_bytes = trace.gates[0].nbytes
+        grads = {}
+        for steps in (1, 2, 3, 7):  # 7 steps: one block holds the whole trace
+            monkeypatch.setattr(nn, "DERIVATIVE_BLOCK_BYTES", steps * step_bytes)
+            grads[steps] = backward(params, trace, y)
+        for steps in (1, 2, 3):
+            for name, g in grads[7].items():
+                assert np.array_equal(grads[steps][name], g), (steps, name)
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_parameters_untouched(self, cell):
