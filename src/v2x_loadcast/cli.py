@@ -109,10 +109,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _write_outputs(rows: list[GridRow], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [METRICS_HEADER]
+    failed = 0
     for row in rows:
         if row.report is None:
-            print(f"error: {row.error} (row {row.spec.scenario_id}/{row.spec.feature_mode}/"
-                  f"seed{row.spec.seed})", file=sys.stderr)
+            name = f"{row.spec.scenario_id}/{row.spec.feature_mode}/seed{row.spec.seed}"
+            if failed == 0:  # the run's one error line; later failures are warnings
+                print(f"error: {row.error} (row {name})", file=sys.stderr)
+            else:
+                print(f"warning: {name} failed: {row.error}", file=sys.stderr)
+            failed += 1
             continue
         r = row.report
         lines.append(

@@ -54,4 +54,4 @@ class CheckpointError(LoadcastError):
 
 
 class Diverged(LoadcastError):
-    """Training produced a non-finite epoch loss or validation MAE."""
+    """Training produced a non-finite epoch loss or validation MAE before any usable epoch."""

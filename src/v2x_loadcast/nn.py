@@ -32,16 +32,10 @@ the GRU does the same on its r, z columns before n, which needs r. One GEMM
 computes the input projection of the whole window into a time-major
 (M, B, G*H) buffer; each step adds h' W_h to its slice and activates it in
 place, and hidden (and LSTM cell) states go into preallocated (M+1, B, H)
-buffers whose first row is the zero initial state. `backward` computes the
-activation derivatives from the stored outputs (s (1 - s) on the sigmoid
-gates, 1 - tanh^2 on LSTM g and GRU n, and the LSTM's 1 - tanh(c)^2) in
-whole-row passes over blocks of time steps of about DERIVATIVE_BLOCK_BYTES,
-so each BPTT step only multiplies by them while its block is still in cache
-(one pass over the whole trace, 4.7 MB at B=256, H=32, M=18, made backward
-about 25% slower there on a core with 2 MB of L2). It writes each step's
-pre-activation gradients into one (M, B, G*H) buffer and computes the W_x,
-W_h and b gradients after the loop with one GEMM or sum each, then maps them
-back to the stored order.
+buffers whose first row is the zero initial state. `backward` writes each
+step's pre-activation gradients into one (M, B, G*H) buffer and computes the
+W_x, W_h and b gradients after the loop with one GEMM or sum each, then maps
+them back to the stored order.
 
 `ForwardTrace`: `inputs` (B, M, D) as given and `preds` (B, T_out), then,
 time-major, `states` (M+1, B, H) and the activated `gates` (M, B, G*H) in
@@ -61,9 +55,6 @@ from .errors import CheckpointError, ShapeMismatch
 
 GATE_BLOCKS = {"lstm": 4, "gru": 3}
 SIGMOID_BLOCKS = {"lstm": 3, "gru": 2}  # leading blocks of the kernel order
-# `backward` forms the activation derivatives for blocks of time steps of
-# about this size, so that a block is still in cache when its steps use it.
-DERIVATIVE_BLOCK_BYTES = 256 << 10
 CHECKPOINT_FORMAT = "v2x-loadcast-model"
 CHECKPOINT_VERSION = 1
 
@@ -177,18 +168,6 @@ def _activate(a: np.ndarray, scale, offset) -> None:
     a += offset
 
 
-def _derivative(a: np.ndarray, sel) -> np.ndarray:
-    """Activation derivative from the outputs a: (sel - a) * a + (1 - sel).
-
-    That is s (1 - s) where sel is 1 and 1 - tanh^2 where sel is 0, with the
-    same rounding as either written out.
-    """
-    dv = sel - a
-    dv *= a
-    dv += 1.0 - sel
-    return dv
-
-
 @dataclass
 class ForwardTrace:
     """Activations retained for backpropagation through time, time-major but for `inputs`."""
@@ -300,48 +279,41 @@ def backward(
     w_h_t = _kernel_order(cell, params.w_h, hs).T
     da = np.empty_like(gates)  # pre-activation gradients, kernel order
 
-    # Activation derivatives, formed a block of `steps` time steps at a time
-    # as the BPTT loop reaches it: sel picks s (1 - s) or 1 - tanh^2 per column.
-    sel = np.zeros(gh)
-    sel[:ns] = 1.0
-    steps = max(1, DERIVATIVE_BLOCK_BYTES // gates[0].nbytes)
-    lo = m  # first step of the block whose derivatives are in dv
-
     if cell == "lstm":
+        # Activation derivatives from the outputs in one whole-row pass per step:
+        # (sel - a) * a + (1 - sel) is s (1 - s) on the sigmoid columns, 1 - g^2 on g.
+        sel = np.zeros(gh)
+        sel[:ns] = 1.0
+        unsel = 1.0 - sel
         dc = np.zeros((bsz, hs))
         for t in range(m - 1, -1, -1):
-            if t < lo:
-                lo = max(0, t + 1 - steps)
-                dv = _derivative(gates[lo : t + 1], sel)
-                one_m = _derivative(trace.tanh_c[lo : t + 1], 0.0)  # 1 - tanh(c)^2
             a = gates[t]
             i, f, o, g = a[:, :hs], a[:, hs : 2 * hs], a[:, 2 * hs : ns], a[:, ns:]
+            tc = trace.tanh_c[t]
             d = da[t]
-            np.multiply(dh, trace.tanh_c[t], out=d[:, 2 * hs : ns])
-            dh *= o
-            dh *= one_m[t - lo]
-            dc += dh
+            np.multiply(dh, tc, out=d[:, 2 * hs : ns])
+            dc += dh * o * (1.0 - tc * tc)
             np.multiply(dc, g, out=d[:, :hs])
             np.multiply(dc, trace.cells[t], out=d[:, hs : 2 * hs])
             np.multiply(dc, i, out=d[:, ns:])
-            d *= dv[t - lo]
-            np.matmul(d, w_h_t, out=dh)
+            dv = sel - a
+            dv *= a
+            dv += unsel
+            d *= dv
+            dh = d @ w_h_t
             dc *= f
     else:
         # da[t] first holds the gradient at the recurrent pre-activations h' W_h:
         # r and z see them directly, n through the reset gate (da_n * r).
         da_n = np.empty((m, bsz, hs))
         for t in range(m - 1, -1, -1):
-            if t < lo:
-                lo = max(0, t + 1 - steps)
-                dv = _derivative(gates[lo : t + 1], sel)
             sig, n = gates[t, :, :ns], gates[t, :, ns:]
             r, z = sig[:, :hs], sig[:, hs:]
             d = da[t]
             np.multiply(dh, trace.states[t] - n, out=d[:, hs:ns])
-            np.multiply(dh * (1.0 - z), dv[t - lo, :, ns:], out=da_n[t])
+            np.multiply(dh * (1.0 - z), 1.0 - n * n, out=da_n[t])
             np.multiply(da_n[t], trace.hh_n[t], out=d[:, :hs])
-            d[:, :ns] *= dv[t - lo, :, :ns]
+            d[:, :ns] *= sig * (1.0 - sig)
             np.multiply(da_n[t], r, out=d[:, ns:])
             dh = dh * z + d @ w_h_t
 

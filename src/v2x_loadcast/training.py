@@ -56,8 +56,9 @@ def train_forecaster(
 ) -> TrainingResult:
     """Train with RMSProp; keep the weights of the best validation epoch.
 
-    Raises `Diverged` as soon as an epoch's mean training loss or its
-    validation MAE is not finite.
+    An epoch whose mean training loss or validation MAE is not finite raises
+    `Diverged` if no epoch has yet given a finite validation MAE, and otherwise
+    ends training with the best epoch's weights.
     """
     if len(train) == 0 or len(val) == 0:
         raise InsufficientData("training and validation window sets must be non-empty")
@@ -81,14 +82,16 @@ def train_forecaster(
             grads = backward(params, trace, train.targets[idx])
             rmsprop_step(params, grads, state)
         train_loss = float(np.mean(batch_losses))
-        if not np.isfinite(train_loss):
-            raise Diverged(f"epoch {epoch}: mean training loss is {train_loss}")
         result.train_losses.append(train_loss)
         val_mae = evaluate_mae(params, val)
-        if not np.isfinite(val_mae):
-            raise Diverged(f"epoch {epoch}: validation MAE is {val_mae}")
         result.val_maes.append(val_mae)
         result.epochs_run = epoch
+        if not (np.isfinite(train_loss) and np.isfinite(val_mae)):
+            if result.best_epoch == 0:
+                raise Diverged(
+                    f"epoch {epoch}: mean training loss {train_loss}, validation MAE {val_mae}"
+                )
+            break  # weights that are not finite stay so; keep the best epoch's
 
         if val_mae < best_val:
             best_val = val_mae

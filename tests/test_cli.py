@@ -184,12 +184,22 @@ class TestDispatch:
         assert dispatch(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "DegenerateFeature" in capsys.readouterr().err
 
+    def test_several_failed_rows_print_one_error_line(self, tmp_path, capsys):
+        text = SMALL_RUN.replace("net_road", "both") + "lambda_per_min = 0\nhandover_prob = 0\n"
+        cfg, out = write_config(tmp_path, text), tmp_path / "o"
+        assert dispatch(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2, err
+        assert err[0].startswith("error: DegenerateFeature: ") and err[0].endswith("/net/seed1)")
+        assert err[1].startswith("warning: r1.5_l0_h0/net_road/seed1 failed: DegenerateFeature: ")
+
     def test_diverged_run_prints_one_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_RUN + "learning_rate = 1e200\n")
         out = tmp_path / "o"
         assert dispatch(["run", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: Diverged: epoch 1: "), err
+        assert len(err) == 1, err
+        assert err[0].startswith("error: Diverged: epoch 1: mean training loss "), err
         assert (out / "metrics.csv").read_text().count("\n") == 1  # the header alone
 
     def test_gradcheck_passes(self, capsys):

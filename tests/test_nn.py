@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unfolded_nn
 from reference_nn import reference_backward, reference_forward
-from v2x_loadcast import nn
 from v2x_loadcast.errors import CheckpointError, EmptyBatch, LoadcastError, ShapeMismatch
 from v2x_loadcast.gradcheck import check_random_model, grad_check
 from v2x_loadcast.metrics import loss_mse, metric_mae
@@ -265,20 +265,20 @@ class TestKernelOracle:
             assert np.allclose(trace.c, acts["c"], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
-    def test_derivative_blocks_do_not_change_a_bit(self, cell, monkeypatch):
-        rng = np.random.default_rng(17)
-        params = init_parameters(cell, 3, 4, rng)
-        x = rng.normal(0.0, 1.0, (3, 7, 3))
-        y = rng.normal(0.0, 1.0, (3, 1))
-        _, trace = forward(params, x)
-        step_bytes = trace.gates[0].nbytes
-        grads = {}
-        for steps in (1, 2, 3, 7):  # 7 steps: one block holds the whole trace
-            monkeypatch.setattr(nn, "DERIVATIVE_BLOCK_BYTES", steps * step_bytes)
-            grads[steps] = backward(params, trace, y)
-        for steps in (1, 2, 3):
-            for name, g in grads[7].items():
-                assert np.array_equal(grads[steps][name], g), (steps, name)
+    @pytest.mark.parametrize(
+        "d,h,batch,window", [(1, 32, 32, 18), (3, 32, 256, 18), (3, 4, 2, 5), (2, 7, 3, 1)]
+    )
+    def test_bit_identical_to_unfolded_forward(self, cell, d, h, batch, window):
+        rng = np.random.default_rng(23)
+        params = init_parameters(cell, d, h, rng)
+        params.b += rng.normal(0.0, 0.5, params.b.shape)
+        x = rng.normal(0.0, 1.0, (batch, window, d))
+        preds, trace = forward(params, x)
+        ref_preds, ref_trace = unfolded_nn.forward(params, x)
+        assert np.array_equal(preds, ref_preds)
+        for name in ("states", "gates", "cells", "tanh_c", "hh_n"):
+            got, ref = getattr(trace, name), getattr(ref_trace, name)
+            assert (got is None and ref is None) or np.array_equal(got, ref), name
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_parameters_untouched(self, cell):
