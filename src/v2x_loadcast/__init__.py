@@ -9,7 +9,7 @@ from .gradcheck import grad_check
 from .metrics import loss_mse, metric_mae
 from .nn import ModelParameters, backward, forward, init_parameters
 from .optim import RMSPropState, rmsprop_step
-from .road import RoadRecord, RoadSeries, correlation_report, parse_road_csv, synthesize_road_series
+from .road import RoadSeries, correlation_report, parse_road_csv, synthesize_road_series
 from .training import TrainingConfig, train_forecaster
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ModelParameters",
     "NormStats",
     "RMSPropState",
-    "RoadRecord",
     "RoadSeries",
     "RunReport",
     "ScenarioConfig",

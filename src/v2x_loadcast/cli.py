@@ -98,8 +98,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     calls = simulate_calls(series, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("timestamp,flow,speed,calls\n")
-        for record, count in zip(series.records, calls.counts):
-            fh.write(f"{record.timestamp},{record.flow},{_fmt(record.speed)},{count}\n")
+        rows = zip(
+            series.timestamps.tolist(), series.flows.tolist(), series.speeds.tolist(), calls.counts.tolist()
+        )
+        for ts, flow, speed, count in rows:
+            fh.write(f"{ts},{flow},{_fmt(speed)},{count}\n")
     if calls.zero_speed_intervals:
         print(f"warning: {calls.zero_speed_intervals} zero-speed interval(s) floored to 5 mph", file=sys.stderr)
     print(f"wrote {args.out}: {int(calls.counts.sum())} calls from {calls.vehicles_total} vehicles")

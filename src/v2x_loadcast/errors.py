@@ -49,9 +49,5 @@ class ConfigError(LoadcastError, ValueError):
     """A config file, CLI flag or constructor argument failed validation."""
 
 
-class CheckpointError(LoadcastError):
-    """A model checkpoint is not readable: wrong format or version, or malformed content."""
-
-
 class Diverged(LoadcastError):
     """Training produced a non-finite epoch loss or validation MAE before any usable epoch."""

@@ -31,7 +31,7 @@ from .features import (
 )
 from .metrics import metric_mae
 from .rng import derive_int, derive_rng
-from .road import RoadSeries
+from .road import POINTS_PER_DAY, RoadSeries
 from .training import TrainingConfig, TrainingResult, evaluate_mae, train_forecaster
 
 THREADS_ENV = "V2X_LOADCAST_THREADS"  # caps grid worker processes
@@ -119,7 +119,7 @@ def prepare_windows(
     names = FEATURE_NAMES if spec.feature_mode == "net_road" else (FEATURE_NAMES[CALLS_COLUMN],)
 
     train_days, _, _ = split_day_counts(road.days, spec.split)
-    train_rows = train_days * road.points_per_day
+    train_rows = train_days * POINTS_PER_DAY
     stats = fit_normalizer(selected[:train_rows], names)
     normalized = stats.transform(selected)
 
@@ -130,7 +130,7 @@ def prepare_windows(
         spec.window,
         spec.horizon,
         spec.split,
-        road.points_per_day,
+        POINTS_PER_DAY,
         road.gap_indices(),
     )
     calls_std = float(stats.std[calls_col])

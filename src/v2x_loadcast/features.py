@@ -194,7 +194,7 @@ def make_windows(
     m: int,
     t: int,
     split: tuple[int, int, int] | None = (3, 1, 1),
-    points_per_day: int = POINTS_PER_DAY,
+    slots_per_day: int = POINTS_PER_DAY,
     gap_indices: Sequence[int] = (),
 ) -> SplitWindows | WindowSet:
     """Windows per split, split by whole days; `split=None` windows everything.
@@ -212,14 +212,14 @@ def make_windows(
         return slice_windows(x, y, m, t, gap_indices)
 
     n = x.shape[0]
-    if n % points_per_day != 0:
-        raise InsufficientData(f"{n} samples is not a whole number of {points_per_day}-slot days")
-    days = n // points_per_day
+    if n % slots_per_day != 0:
+        raise InsufficientData(f"{n} samples is not a whole number of {slots_per_day}-slot days")
+    days = n // slots_per_day
     counts = split_day_counts(days, split)
     sets = []
     start = 0
     for d in counts:
-        end = start + d * points_per_day
+        end = start + d * slots_per_day
         sets.append(slice_windows(x[start:end], y[start:end], m, t, gap_indices, offset=start))
         start = end
     return SplitWindows(*sets)

@@ -4,9 +4,9 @@ One recurrent layer of H cells reads a window of M samples and a single
 linear unit (no activation) maps the final hidden state to the predicted
 call count. Gate equations, with sigmoid s and elementwise products:
 
-LSTM (gate blocks i, f, g, o in the stacked weight matrices):
+LSTM (gate blocks i, f, o, g in the stacked weight matrices):
     i = s(x W_xi + h' W_hi + b_i)        f = s(x W_xf + h' W_hf + b_f)
-    g = tanh(x W_xg + h' W_hg + b_g)     o = s(x W_xo + h' W_ho + b_o)
+    o = s(x W_xo + h' W_ho + b_o)        g = tanh(x W_xg + h' W_hg + b_g)
     c = f * c' + i * g                   h = o * tanh(c)
 
 GRU (blocks r, z, n; a single bias per block, reset gate applied to the
@@ -18,15 +18,14 @@ recurrent part of the candidate):
 `backward` returns exact analytic gradients of the batch-mean MSE with
 respect to every parameter; everything runs in float64.
 
-Kernel. Parameters are stored in the block order above (LSTM i, f, g, o),
-which fixes the init draws and the checkpoint layout. The kernel runs the
-gates in an order with the sigmoid blocks first (LSTM i, f, o, g; GRU r, z,
-n unchanged) by permuting the weight columns at call time. Sigmoid is
+Kernel. Parameters and gradients are stored in the block order the kernel
+runs, sigmoid blocks first (LSTM i, f, o, g; GRU r, z, n). `init_parameters`
+draws the LSTM weights as blocks i, f, g, o and swaps the g and o blocks
+once, so a seed gives the same gate weights in either layout. Sigmoid is
 evaluated as s(x) = 0.5 * tanh(0.5 x) + 0.5, which cannot overflow, and the
 halving of x lives in the weights: each call multiplies the sigmoid columns
-of the kernel-order W_x, W_h and b by 0.5, which is exact in binary floating
-point, so the halved pre-activations are bit for bit 0.5 times the plain
-ones. An LSTM step then activates its whole (B, 4H) row with one tanh and
+of W_x, W_h and b by 0.5, which is exact in binary floating point, so the
+halved pre-activations are bit for bit 0.5 times the plain ones. An LSTM step then activates its whole (B, 4H) row with one tanh and
 one `a * scale + offset` (0.5 and 0.5 on the sigmoid columns, 1 and 0 on g);
 the GRU does the same on its r, z columns before n, which needs r. One GEMM
 computes the input projection of the whole window into a time-major
@@ -34,29 +33,25 @@ computes the input projection of the whole window into a time-major
 place, and hidden (and LSTM cell) states go into preallocated (M+1, B, H)
 buffers whose first row is the zero initial state. `backward` writes each
 step's pre-activation gradients into one (M, B, G*H) buffer and computes the
-W_x, W_h and b gradients after the loop with one GEMM or sum each, then maps
-them back to the stored order.
+W_x, W_h and b gradients after the loop with one GEMM or sum each.
 
 `ForwardTrace`: `inputs` (B, M, D) as given and `preds` (B, T_out), then,
-time-major, `states` (M+1, B, H) and the activated `gates` (M, B, G*H) in
-kernel order; LSTM adds `cells` (M+1, B, H) and `tanh_c` (M, B, H), GRU
-adds `hh_n` (M, B, H), the h' W_hn term the reset gate scales. `h_prev` and
-`c` are views of `states` and `cells`.
+time-major, `states` (M+1, B, H) and the activated `gates` (M, B, G*H); LSTM
+adds `cells` (M+1, B, H) and `tanh_c` (M, B, H), GRU adds `hh_n` (M, B, H),
+the h' W_hn term the reset gate scales. `h_prev` and `c` are views of
+`states` and `cells`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeMismatch
+from .errors import ShapeMismatch
 
 GATE_BLOCKS = {"lstm": 4, "gru": 3}
-SIGMOID_BLOCKS = {"lstm": 3, "gru": 2}  # leading blocks of the kernel order
-CHECKPOINT_FORMAT = "v2x-loadcast-model"
-CHECKPOINT_VERSION = 1
+SIGMOID_BLOCKS = {"lstm": 3, "gru": 2}  # leading gate blocks
 
 
 @dataclass
@@ -64,9 +59,9 @@ class ModelParameters:
     """All weights of the recurrent cell plus the linear head."""
 
     cell: str
-    w_x: np.ndarray  # (D, blocks*H) input weights, gate blocks side by side
-    w_h: np.ndarray  # (H, blocks*H) recurrent weights
-    b: np.ndarray  # (blocks*H,)
+    w_x: np.ndarray  # (D, blocks*H) input weights, gate blocks LSTM i, f, o, g / GRU r, z, n
+    w_h: np.ndarray  # (H, blocks*H) recurrent weights, same block order
+    b: np.ndarray  # (blocks*H,) same block order
     w_out: np.ndarray  # (H, T_out) linear head
     b_out: np.ndarray  # (T_out,)
 
@@ -139,21 +134,13 @@ def init_parameters(
     b = np.zeros(blocks * h)
     if cell == "lstm":
         b[h : 2 * h] = 1.0
+        # Drawn as blocks i, f, g, o and stored as i, f, o, g (b's g and o are both 0).
+        order = np.r_[: 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
+        w_x = np.ascontiguousarray(w_x[:, order])
+        w_h = np.ascontiguousarray(w_h[:, order])
     w_out = rng.uniform(-scale, scale, (h, out_size))
     b_out = np.zeros(out_size)
     return ModelParameters(cell, w_x, w_h, b, w_out, b_out)
-
-
-def _kernel_order(cell: str, a: np.ndarray, hidden_size: int) -> np.ndarray:
-    """Gate columns (last axis) from stored to kernel order; the same call maps back.
-
-    LSTM swaps the g and o blocks (i, f, g, o <-> i, f, o, g), an involution;
-    GRU's r, z, n is already kernel order and is returned as is.
-    """
-    if cell == "gru":
-        return a
-    h = hidden_size
-    return np.concatenate((a[..., : 2 * h], a[..., 3 * h :], a[..., 2 * h : 3 * h]), axis=-1)
 
 
 def _activate(a: np.ndarray, scale, offset) -> None:
@@ -175,7 +162,7 @@ class ForwardTrace:
     inputs: np.ndarray  # (B, M, D) as given to `forward`
     preds: np.ndarray  # (B, T_out)
     states: np.ndarray  # (M+1, B, H) hidden state; states[0] = 0 enters step 0
-    gates: np.ndarray  # (M, B, G*H) activated gates in kernel order
+    gates: np.ndarray  # (M, B, G*H) activated gates
     cells: np.ndarray | None = None  # LSTM (M+1, B, H) cell state; cells[0] = 0
     tanh_c: np.ndarray | None = None  # LSTM (M, B, H) tanh of cells[1:]
     hh_n: np.ndarray | None = None  # GRU (M, B, H) h_prev @ W_hn, for the reset-gate gradient
@@ -214,9 +201,9 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
     scale = np.ones(GATE_BLOCKS[cell] * hs)
     scale[:ns] = 0.5
     xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
-    gates = (xt @ (_kernel_order(cell, params.w_x, hs) * scale)).reshape(m, bsz, -1)
-    gates += _kernel_order(cell, params.b, hs) * scale
-    w_h = _kernel_order(cell, params.w_h, hs) * scale
+    gates = (xt @ (params.w_x * scale)).reshape(m, bsz, -1)
+    gates += params.b * scale
+    w_h = params.w_h * scale
     states = np.zeros((m + 1, bsz, hs))
 
     if cell == "lstm":
@@ -276,8 +263,8 @@ def backward(
     g_w_out = trace.states[-1].T @ d_pred
     g_b_out = d_pred.sum(axis=0)
     dh = d_pred @ params.w_out.T  # (B, H)
-    w_h_t = _kernel_order(cell, params.w_h, hs).T
-    da = np.empty_like(gates)  # pre-activation gradients, kernel order
+    w_h_t = params.w_h.T
+    da = np.empty_like(gates)  # pre-activation gradients
 
     if cell == "lstm":
         # Activation derivatives from the outputs in one whole-row pass per step:
@@ -323,48 +310,4 @@ def backward(
         da[..., ns:] = da_n  # W_x and b see n's pre-activation without the reset gate
     g_w_x = trace.inputs.transpose(1, 0, 2).reshape(m * bsz, -1).T @ da_flat
     g_b = da_flat.sum(axis=0)
-    return {
-        "w_x": _kernel_order(cell, g_w_x, hs),
-        "w_h": _kernel_order(cell, g_w_h, hs),
-        "b": _kernel_order(cell, g_b, hs),
-        "w_out": g_w_out,
-        "b_out": g_b_out,
-    }
-
-
-def save_checkpoint(params: ModelParameters, path: str) -> None:
-    """Versioned JSON checkpoint: named tensors with shape headers."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "cell": params.cell,
-        "input_size": params.input_size,
-        "hidden_size": params.hidden_size,
-        "out_size": params.out_size,
-        "tensors": {
-            name: {"shape": list(tensor.shape), "data": tensor.ravel().tolist()}
-            for name, tensor in params.tensors().items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path: str) -> ModelParameters:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path} is not JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
-    try:
-        tensors = {
-            name: np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-            for name, spec in payload["tensors"].items()
-        }
-        return ModelParameters(payload["cell"], **tensors)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
+    return {"w_x": g_w_x, "w_h": g_w_h, "b": g_b, "w_out": g_w_out, "b_out": g_b_out}

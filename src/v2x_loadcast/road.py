@@ -1,8 +1,10 @@
 """Road measurement series: parsing, validation, synthesis, correlation.
 
-A road series is a sequence of 5-minute observations (timestamp, vehicle
-flow, average speed) covering whole days of 288 slots each. Parsing enforces
-the slot grid and sanity bounds; `synthesize_road_series` produces a
+A road series holds 5-minute observations covering whole days of 288 slots
+each, as three read-only numpy columns: timestamps, vehicle flows and average
+speeds. `RoadSeries` enforces the column types, the sanity bounds and the
+slot grid; `parse_road_csv` adds line-numbered checks of each CSV field and
+fills the columns directly; `synthesize_road_series` produces a
 deterministic stand-in with weekday commute structure (two flow peaks, speed
 collapse under congestion) for runs without a real measurement CSV.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
 
 import numpy as np
 
@@ -36,45 +37,78 @@ SPEED_CEIL_SYNTH = 75.0
 DEFAULT_START_EPOCH = 1_616_976_000
 
 
-@dataclass(frozen=True)
-class RoadRecord:
-    """One 5-minute observation: epoch seconds (UTC), vehicles per interval, mph."""
+def _column(values, name: str, dtype) -> np.ndarray:
+    """A read-only 1-D `dtype` copy of `values`; integer columns must hold whole numbers.
 
-    timestamp: int
-    flow: int
-    speed: float
+    A cast to int64 turns 3.7 into 3 and NaN or 1e30 into arbitrary integers
+    (with a warning on numpy >= 1.24), so the cast is compared with its input
+    and any difference is an error.
+    """
+    raw = np.asarray(values)
+    if raw.ndim != 1:
+        raise ShapeMismatch(f"{name} must be 1-D, got shape {raw.shape}")
+    if raw.dtype.kind not in "iuf":
+        raise MalformedRow(f"{name} must be numeric, got dtype {raw.dtype}")
+    with np.errstate(invalid="ignore"):
+        col = raw.astype(dtype)
+    if dtype is np.int64:
+        inexact = col != raw
+        if inexact.any():
+            k = int(np.argmax(inexact))
+            raise MalformedRow(f"{name}[{k}] = {raw[k].item()!r} is not an int64 integer")
+    col.flags.writeable = False
+    return col
 
-    def __post_init__(self):
-        if self.flow < 0:
-            raise BoundsError(f"flow {self.flow} < 0 at timestamp {self.timestamp}")
-        if self.speed < 0 or self.speed > SPEED_MAX_MPH:
-            raise BoundsError(
-                f"speed {self.speed} outside [0, {SPEED_MAX_MPH}] at timestamp {self.timestamp}"
-            )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoadSeries:
-    """Validated, whole-day road series.
+    """Validated, whole-day road series held as three read-only columns.
 
-    Invariants enforced at construction: length is a multiple of 288,
-    timestamps strictly increase, within each day block of 288 records
-    consecutive timestamps differ by exactly 300 s, and every timestamp lies
-    on the 300-s grid of the first one. Blocks may be separated by larger
-    gaps (skipped weekends in work-day data).
+    `timestamps` are epoch seconds (UTC, int64), `flows` vehicles per
+    interval (int64) and `speeds` average mph (float64); the constructor
+    stores read-only copies of what it is given. Invariants enforced at
+    construction: the columns are 1-D and of one length, a multiple of 288;
+    flows are whole numbers >= 0 and speeds lie in [0, 120]; timestamps
+    strictly increase, within each day block of 288 records consecutive
+    timestamps differ by exactly 300 s, and every timestamp lies on the
+    300-s grid of the first one. Blocks may be separated by larger gaps
+    (skipped weekends in work-day data).
     """
 
-    records: tuple[RoadRecord, ...]
+    timestamps: np.ndarray
+    flows: np.ndarray
+    speeds: np.ndarray
 
     def __post_init__(self):
-        n = len(self.records)
+        ts = _column(self.timestamps, "timestamps", np.int64)
+        flows = _column(self.flows, "flows", np.int64)
+        speeds = _column(self.speeds, "speeds", np.float64)
+        if not len(ts) == len(flows) == len(speeds):
+            raise ShapeMismatch(
+                f"column lengths differ: timestamps {len(ts)}, flows {len(flows)}, "
+                f"speeds {len(speeds)}"
+            )
+        object.__setattr__(self, "timestamps", ts)
+        object.__setattr__(self, "flows", flows)
+        object.__setattr__(self, "speeds", speeds)
+        negative = flows < 0
+        if negative.any():
+            k = int(np.argmax(negative))
+            raise BoundsError(f"flows[{k}] = {flows[k]} < 0 at timestamp {ts[k]}")
+        out_of_range = ~((speeds >= 0.0) & (speeds <= SPEED_MAX_MPH))  # NaN included
+        if out_of_range.any():
+            k = int(np.argmax(out_of_range))
+            raise BoundsError(
+                f"speeds[{k}] = {speeds[k].item()!r} outside [0, {SPEED_MAX_MPH}] "
+                f"at timestamp {ts[k]}"
+            )
+        n = len(ts)
         if n == 0:
             raise GapError("empty road series")
         if n % POINTS_PER_DAY != 0:
             raise GapError(
                 f"series length {n} is not a whole number of {POINTS_PER_DAY}-slot days"
             )
-        ts = self.timestamps
         step = np.diff(ts)
         bad = (step <= 0) | ((step != SLOT_SECONDS) & (np.arange(1, n) % POINTS_PER_DAY != 0))
         if bad.any():
@@ -95,26 +129,10 @@ class RoadSeries:
 
     @property
     def days(self) -> int:
-        return len(self.records) // POINTS_PER_DAY
-
-    @property
-    def points_per_day(self) -> int:
-        return POINTS_PER_DAY
+        return len(self) // POINTS_PER_DAY
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @cached_property
-    def timestamps(self) -> np.ndarray:
-        return np.array([r.timestamp for r in self.records], dtype=np.int64)
-
-    @cached_property
-    def flows(self) -> np.ndarray:
-        return np.array([r.flow for r in self.records], dtype=np.int64)
-
-    @cached_property
-    def speeds(self) -> np.ndarray:
-        return np.array([r.speed for r in self.records], dtype=np.float64)
+        return len(self.timestamps)
 
     def gap_indices(self) -> tuple[int, ...]:
         """Indices i whose record is not 300 s after record i-1 (day-boundary gaps)."""
@@ -193,41 +211,44 @@ def parse_road_csv(
         missing = [c for c in names.values() if c not in header]
         if missing:
             raise MalformedRow(f"header {header} lacks required column(s) {missing}")
-        rows: list[tuple[int, int, float]] = []
+        stamps: list[int] = []
+        flows: list[int] = []
+        speeds: list[float] = []
         for line, row in enumerate(reader, start=2):
             ts = _parse_timestamp(row[names["timestamp"]] or "", line)
             if ts % SLOT_SECONDS != 0:
                 raise MalformedRow(
                     f"line {line}: timestamp {ts} not aligned to the {SLOT_SECONDS}s slot grid"
                 )
-            rows.append(
-                (ts, _parse_flow(row[names["flow"]] or "", line), _parse_speed(row[names["speed"]] or "", line))
-            )
+            stamps.append(ts)
+            flows.append(_parse_flow(row[names["flow"]] or "", line))
+            speeds.append(_parse_speed(row[names["speed"]] or "", line))
 
-    if not rows:
+    if not stamps:
         raise GapError("CSV contains no data rows")
-    rows.sort(key=lambda r: r[0])
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0]:
-            raise MalformedRow(f"duplicate timestamp {a[0]}")
+    ts = np.array(stamps, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    duplicate = np.flatnonzero(np.diff(ts) == 0)
+    if duplicate.size:
+        raise MalformedRow(f"duplicate timestamp {ts[duplicate[0]]}")
 
-    present = {ts: (flow, speed) for ts, flow, speed in rows}
-    days = sorted({ts // 86_400 for ts, _, _ in rows})
-    records: list[RoadRecord] = []
-    last: tuple[int, float] | None = None
-    for day in days:
-        base = day * 86_400
-        for k in range(POINTS_PER_DAY):
-            slot = base + k * SLOT_SECONDS
-            if slot in present:
-                flow, speed = present[slot]
-                last = (flow, speed)
-            elif impute == "hold" and last is not None:
-                flow, speed = last
-            else:
-                raise GapError(f"missing 5-minute slot at {_slot_iso(slot)}", slot=slot)
-            records.append(RoadRecord(slot, flow, speed))
-    return RoadSeries(tuple(records))
+    # Every slot of each day that has a row, and the last row at or before it.
+    days = np.unique(ts // 86_400)
+    slots = (days[:, None] * 86_400 + np.arange(POINTS_PER_DAY) * SLOT_SECONDS).ravel()
+    at = np.searchsorted(ts, slots, side="right") - 1
+    gap = at < 0
+    if impute is None:
+        gap |= ts[at] != slots
+    if gap.any():
+        slot = int(slots[np.argmax(gap)])
+        raise GapError(f"missing 5-minute slot at {_slot_iso(slot)}", slot=slot)
+    # Flows go in as float64, exact for every value `_parse_flow` returns, so
+    # that one past the int64 range is a typed error of `RoadSeries`.
+    rows = order[at]
+    return RoadSeries(
+        slots, np.array(flows, dtype=np.float64)[rows], np.array(speeds, dtype=np.float64)[rows]
+    )
 
 
 def serialize_road_csv(series: RoadSeries, path: str) -> None:
@@ -235,8 +256,9 @@ def serialize_road_csv(series: RoadSeries, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "flow", "speed"])
-        for r in series.records:
-            writer.writerow([r.timestamp, r.flow, repr(r.speed)])
+        writer.writerows(
+            zip(series.timestamps.tolist(), series.flows.tolist(), map(repr, series.speeds.tolist()))
+        )
 
 
 def _gaussian_bump(hours: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -332,11 +354,8 @@ def synthesize_road_series(
 
     flow_int = np.clip(np.rint(all_flow), 0, FLOW_MAX_SYNTH).astype(np.int64)
     speed_clipped = np.clip(all_speed, SPEED_FLOOR_SYNTH, SPEED_CEIL_SYNTH)
-    records = tuple(
-        RoadRecord(start_epoch + i * SLOT_SECONDS, int(flow_int[i]), float(speed_clipped[i]))
-        for i in range(days * POINTS_PER_DAY)
-    )
-    return RoadSeries(records)
+    timestamps = start_epoch + SLOT_SECONDS * np.arange(days * POINTS_PER_DAY, dtype=np.int64)
+    return RoadSeries(timestamps, flow_int, speed_clipped)
 
 
 def correlation_report(series: RoadSeries, calls: np.ndarray | None = None) -> np.ndarray:

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from v2x_loadcast.road import POINTS_PER_DAY, SLOT_SECONDS, RoadRecord, RoadSeries
+from v2x_loadcast.road import POINTS_PER_DAY, SLOT_SECONDS, RoadSeries
+
+
+def constant_series(timestamps, flow: int = 10, speed: float = 60.0) -> RoadSeries:
+    """The given timestamps with one flow and one speed throughout."""
+    n = len(timestamps)
+    return RoadSeries(timestamps, np.full(n, flow), np.full(n, speed))
 
 
 def steady_series(days: int, flow: int, speed: float, start: int = 0) -> RoadSeries:
     """Constant flow/speed series, used for simulator statistics."""
-    records = tuple(
-        RoadRecord(start + i * SLOT_SECONDS, flow, speed)
-        for i in range(days * POINTS_PER_DAY)
-    )
-    return RoadSeries(records)
+    timestamps = start + SLOT_SECONDS * np.arange(days * POINTS_PER_DAY)
+    return constant_series(timestamps, flow, speed)
 
 
 @pytest.fixture(scope="session")

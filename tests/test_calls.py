@@ -18,7 +18,6 @@ from v2x_loadcast.experiment import table_scenarios
 from v2x_loadcast.road import (
     POINTS_PER_DAY,
     SLOT_SECONDS,
-    RoadRecord,
     RoadSeries,
     synthesize_road_series,
 )
@@ -137,10 +136,11 @@ class TestSimulate:
         assert calls.counts.sum() == calls.vehicles_total
 
     def test_zero_speed_interval_floored_and_counted(self):
-        records = [RoadRecord(k * SLOT_SECONDS, 10, 60.0) for k in range(POINTS_PER_DAY)]
-        records[3] = RoadRecord(3 * SLOT_SECONDS, 10, 0.0)
-        records[4] = RoadRecord(4 * SLOT_SECONDS, 0, 0.0)  # zero flow: not a warning
-        series = RoadSeries(tuple(records))
+        flows = np.full(POINTS_PER_DAY, 10)
+        speeds = np.full(POINTS_PER_DAY, 60.0)
+        speeds[3] = 0.0
+        flows[4], speeds[4] = 0, 0.0  # zero flow: not a warning
+        series = RoadSeries(SLOT_SECONDS * np.arange(POINTS_PER_DAY), flows, speeds)
         cfg = ScenarioConfig(lam=0.2, handover_prob=0.0, cell_range_miles=1.5, seed=2)
         calls = simulate_calls(series, cfg)
         assert calls.zero_speed_intervals == 1
@@ -154,9 +154,10 @@ class TestSimulate:
     def test_dwell_spills_into_following_intervals(self):
         # One vehicle-heavy interval, then empty ones; a 60-minute dwell spreads
         # calls over the following 12 slots.
-        records = [RoadRecord(k * SLOT_SECONDS, 0, 60.0) for k in range(POINTS_PER_DAY)]
-        records[0] = RoadRecord(0, 400, 5.0)  # dwell capped at 60 min
-        series = RoadSeries(tuple(records))
+        flows = np.zeros(POINTS_PER_DAY, dtype=np.int64)
+        speeds = np.full(POINTS_PER_DAY, 60.0)
+        flows[0], speeds[0] = 400, 5.0  # dwell capped at 60 min
+        series = RoadSeries(SLOT_SECONDS * np.arange(POINTS_PER_DAY), flows, speeds)
         cfg = ScenarioConfig(
             lam=0.5, handover_prob=0.0, cell_range_miles=5.0, seed=11, exact_flow=True
         )
@@ -167,14 +168,11 @@ class TestSimulate:
     def test_calls_outside_recorded_days_dropped(self):
         # Two day blocks separated by a weekend: dwell from Friday's last slot
         # must not leak into Monday's first interval.
-        friday = [RoadRecord(k * SLOT_SECONDS, 0, 60.0) for k in range(POINTS_PER_DAY)]
-        friday[-1] = RoadRecord(friday[-1].timestamp, 500, 5.0)
-        monday_base = 3 * 86_400
-        monday = [
-            RoadRecord(monday_base + k * SLOT_SECONDS, 0, 60.0)
-            for k in range(POINTS_PER_DAY)
-        ]
-        series = RoadSeries(tuple(friday + monday))
+        day = SLOT_SECONDS * np.arange(POINTS_PER_DAY)
+        flows = np.zeros(2 * POINTS_PER_DAY, dtype=np.int64)
+        speeds = np.full(2 * POINTS_PER_DAY, 60.0)
+        flows[POINTS_PER_DAY - 1], speeds[POINTS_PER_DAY - 1] = 500, 5.0  # Friday's last slot
+        series = RoadSeries(np.concatenate([day, 3 * 86_400 + day]), flows, speeds)
         cfg = ScenarioConfig(
             lam=1.0, handover_prob=0.0, cell_range_miles=5.0, seed=7, exact_flow=True
         )
@@ -209,10 +207,7 @@ def gapped_series(seed: int, days: int, start: int, gaps: list[int]) -> RoadSeri
     slots = np.arange(n) + np.repeat(np.cumsum([0] + gaps), POINTS_PER_DAY)
     flows = np.where(rng.random(n) < 0.2, 0, rng.integers(0, 12, n))
     speeds = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 120.0, n))
-    return RoadSeries(tuple(
-        RoadRecord(start + int(k) * SLOT_SECONDS, int(f), float(v))
-        for k, f, v in zip(slots, flows, speeds)
-    ))
+    return RoadSeries(start + SLOT_SECONDS * slots, flows, speeds)
 
 
 class TestAgainstReference:

@@ -1,5 +1,5 @@
-import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import unfolded_nn
 from reference_nn import reference_backward, reference_forward
-from v2x_loadcast.errors import CheckpointError, EmptyBatch, LoadcastError, ShapeMismatch
+from v2x_loadcast.errors import EmptyBatch, ShapeMismatch
 from v2x_loadcast.gradcheck import check_random_model, grad_check
 from v2x_loadcast.metrics import loss_mse, metric_mae
 from v2x_loadcast.nn import (
@@ -16,9 +16,7 @@ from v2x_loadcast.nn import (
     backward,
     forward,
     init_parameters,
-    load_checkpoint,
     predict,
-    save_checkpoint,
 )
 from v2x_loadcast.optim import RMSPropState, rmsprop_step
 
@@ -36,7 +34,7 @@ def zero_params(cell, d=2, h=3):
 
 
 def scalar_lstm_params(wx, b, dense_w, dense_b):
-    """H=1, D=1 LSTM with zero recurrent weights; wx/b are (i, f, g, o)."""
+    """H=1, D=1 LSTM with zero recurrent weights; wx/b are (i, f, o, g)."""
     return ModelParameters(
         "lstm",
         np.array([wx]),
@@ -45,6 +43,14 @@ def scalar_lstm_params(wx, b, dense_w, dense_b):
         np.array([[dense_w]]),
         np.array([dense_b]),
     )
+
+
+def swap_g_o(cell, a, hidden):
+    """Swap the LSTM g and o blocks of the last axis (i, f, o, g <-> i, f, g, o)."""
+    if cell == "gru":
+        return a
+    h = hidden
+    return np.concatenate((a[..., : 2 * h], a[..., 3 * h :], a[..., 2 * h : 3 * h]), axis=-1)
 
 
 def reference_scalar_lstm(xs, wx, wh, b, dense_w, dense_b):
@@ -83,16 +89,16 @@ class TestForward:
 
     def test_hand_computed_scalar_value(self):
         params = scalar_lstm_params(
-            wx=[0.5, 0.3, 1.0, -0.2], b=[0.0, 1.0, 0.0, 0.1], dense_w=1.25, dense_b=-0.3
+            wx=[0.5, 0.3, -0.2, 1.0], b=[0.0, 1.0, 0.1, 0.0], dense_w=1.25, dense_b=-0.3
         )
         preds, _ = forward(params, np.array([[[1.0]]]))
         # Pinned from scalar evaluation of the gate equations for x = [1].
         assert preds[0, 0] == pytest.approx(-0.03786273724083433, abs=1e-15)
 
     def test_matches_scalar_reference_on_sequence(self):
-        wx = [0.4, -0.3, 0.9, 0.2]
-        wh = [0.1, 0.5, -0.7, 0.3]
-        b = [0.05, 1.0, -0.1, 0.0]
+        wx = [0.4, -0.3, 0.2, 0.9]
+        wh = [0.1, 0.5, 0.3, -0.7]
+        b = [0.05, 1.0, 0.0, -0.1]
         params = ModelParameters(
             "lstm",
             np.array([wx]),
@@ -103,7 +109,8 @@ class TestForward:
         )
         xs = [1.0, -0.5, 2.0, 0.0, 0.75]
         preds, _ = forward(params, np.array(xs).reshape(1, 5, 1))
-        want = reference_scalar_lstm(xs, wx, wh, b, 0.8, 0.25)
+        ifgo = [swap_g_o("lstm", np.array(v), 1) for v in (wx, wh, b)]  # the reference's order
+        want = reference_scalar_lstm(xs, *ifgo, 0.8, 0.25)
         assert preds[0, 0] == pytest.approx(want, abs=1e-14)
 
     def test_hand_computed_scalar_gru_value(self):
@@ -231,7 +238,11 @@ def _max_norm_error(new, ref):
 
 
 class TestKernelOracle:
-    """The fused kernel against the per-step reference in `reference_nn`."""
+    """The fused kernel against the per-step reference in `reference_nn`.
+
+    The reference takes the LSTM blocks as i, f, g, o; its parameters are
+    permuted into that order and its gradients back.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -252,8 +263,11 @@ class TestKernelOracle:
 
         preds, trace = forward(params, x)
         grads = backward(params, trace, y)
-        ref_preds, acts = reference_forward(params, x)
-        ref_grads = reference_backward(params, x, ref_preds, acts, y)
+        gated = ("w_x", "w_h", "b")
+        ref_params = replace(params, **{k: swap_g_o(cell, getattr(params, k), hidden) for k in gated})
+        ref_preds, acts = reference_forward(ref_params, x)
+        ref_grads = reference_backward(ref_params, x, ref_preds, acts, y)
+        ref_grads = {k: swap_g_o(cell, g, hidden) if k in gated else g for k, g in ref_grads.items()}
 
         assert _max_norm_error(preds, ref_preds) <= 1e-12
         assert grads.keys() == ref_grads.keys()
@@ -406,57 +420,20 @@ class TestParameters:
                 np.zeros(1),
             )
 
+    def test_lstm_init_draws_blocks_ifgo_and_stores_ifog(self):
+        params = init_parameters("lstm", 2, 3, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        scale = 1.0 / np.sqrt(3)
+        w_x = rng.uniform(-scale, scale, (2, 12))
+        w_h = rng.uniform(-scale, scale, (3, 12))
+        assert np.array_equal(params.w_x, swap_g_o("lstm", w_x, 3))
+        assert np.array_equal(params.w_h, swap_g_o("lstm", w_h, 3))
+        for tensor in params.tensors().values():
+            assert tensor.flags.c_contiguous  # gradcheck perturbs through ravel() views
+
     def test_copy_is_deep(self):
         rng = np.random.default_rng(6)
         params = init_parameters("gru", 2, 3, rng)
         clone = params.copy()
         clone.w_x[0, 0] += 1.0
         assert params.w_x[0, 0] != clone.w_x[0, 0]
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        params = init_parameters("lstm", 3, 5, rng)
-        path = tmp_path / "model.json"
-        save_checkpoint(params, str(path))
-        loaded = load_checkpoint(str(path))
-        assert loaded.cell == "lstm"
-        for name, tensor in params.tensors().items():
-            assert np.array_equal(tensor, loaded.tensors()[name]), name
-        x = rng.normal(size=(2, 6, 3))
-        assert np.array_equal(predict(params, x), predict(loaded, x))
-
-    def test_shape_header_present(self, tmp_path):
-        rng = np.random.default_rng(8)
-        params = init_parameters("gru", 1, 2, rng)
-        path = tmp_path / "model.json"
-        save_checkpoint(params, str(path))
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 1
-        assert payload["tensors"]["w_x"]["shape"] == [1, 6]
-
-    def test_foreign_json_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            json.dumps({"format": "v2x-loadcast-model", "version": 99}),
-            json.dumps({"format": "v2x-loadcast-model", "version": 1}),
-            json.dumps({"format": "v2x-loadcast-model", "version": 1, "cell": "lstm",
-                        "tensors": {"w_x": {"shape": [2, 2], "data": [1.0]}}}),
-            json.dumps([1, 2]),
-            "not json {",
-        ],
-        ids=["version", "no-tensors", "bad-shape", "not-object", "not-json"],
-    )
-    def test_bad_checkpoint_is_typed_error(self, tmp_path, text):
-        path = tmp_path / "bad.json"
-        path.write_text(text)
-        with pytest.raises(CheckpointError) as info:
-            load_checkpoint(str(path))
-        assert isinstance(info.value, LoadcastError)

@@ -1,13 +1,23 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2x_loadcast.errors import BoundsError, DegenerateSeries, GapError, MalformedRow
+from conftest import constant_series
+from v2x_loadcast.cli import dispatch
+from v2x_loadcast.errors import (
+    BoundsError,
+    DegenerateSeries,
+    GapError,
+    MalformedRow,
+    ShapeMismatch,
+)
 from v2x_loadcast.road import (
     POINTS_PER_DAY,
     SLOT_SECONDS,
-    RoadRecord,
     RoadSeries,
     correlation_report,
     parse_road_csv,
@@ -21,11 +31,38 @@ def write_csv(path, rows, header="timestamp,flow,speed"):
     return str(path)
 
 
+def same_columns(a: RoadSeries, b: RoadSeries) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("timestamps", "flows", "speeds")
+    )
+
+
+def slot_walk(rows, impute):
+    """Per-slot oracle of `parse_road_csv`: the expected (ts, flow, speed) rows,
+    or the slot of the first GapError.
+
+    Every slot of each day that has a row, in time order; a missing slot is a
+    gap unless `impute == "hold"` and an earlier slot, of any day, had a row.
+    """
+    present = {ts: (flow, speed) for ts, flow, speed in rows}
+    out, last = [], None
+    for day in sorted({ts // 86_400 for ts, _, _ in rows}):
+        for k in range(POINTS_PER_DAY):
+            slot = day * 86_400 + k * SLOT_SECONDS
+            if slot in present:
+                last = present[slot]
+            elif impute != "hold" or last is None:
+                return slot
+            out.append((slot, *last))
+    return out
+
+
 class TestParse:
     def test_one_full_day(self, one_day_csv):
         series = parse_road_csv(str(one_day_csv))
         assert series.days == 1
-        assert len(series.records) == POINTS_PER_DAY
+        assert len(series.timestamps) == POINTS_PER_DAY
 
     def test_negative_speed_rejected(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", ["0,10,-4", "300,10,60"])
@@ -49,8 +86,8 @@ class TestParse:
         path = write_csv(tmp_path / "gap.csv", rows)
         series = parse_road_csv(path, impute="hold")
         assert len(series) == POINTS_PER_DAY
-        assert series.records[5].flow == series.records[4].flow == 4
-        assert series.records[5].timestamp == 1500
+        assert series.flows[5] == series.flows[4] == 4
+        assert series.timestamps[5] == 1500
 
     def test_impute_cannot_fill_leading_gap(self, tmp_path):
         rows = [f"{k * SLOT_SECONDS},{k},60" for k in range(1, POINTS_PER_DAY)]
@@ -66,7 +103,7 @@ class TestParse:
             rows.append(f"{stamp},7,55")
         path = write_csv(tmp_path / "iso.csv", rows)
         series = parse_road_csv(path)
-        assert series.records[1].timestamp == SLOT_SECONDS
+        assert series.timestamps[1] == SLOT_SECONDS
 
     def test_column_mapping(self, tmp_path):
         rows = [f"{k * SLOT_SECONDS},55.5,{k % 9}" for k in range(POINTS_PER_DAY)]
@@ -75,8 +112,8 @@ class TestParse:
             path,
             column_map={"timestamp": "Timestamp", "flow": "Total Flow", "speed": "Avg Speed"},
         )
-        assert series.records[4].flow == 4
-        assert series.records[4].speed == 55.5
+        assert series.flows[4] == 4
+        assert series.speeds[4] == 55.5
 
     def test_bad_numeric_field(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", ["0,ten,60"])
@@ -103,6 +140,44 @@ class TestParse:
         with pytest.raises(MalformedRow):
             parse_road_csv(path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first_day=st.sampled_from([0, 18_715, 47_482]),  # 1970, 2021 and 2100 (epochs > 2^31)
+        day_offsets=st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+        drop_rate=st.sampled_from([0.0, 0.01, 0.2]),
+        drop_day_start=st.booleans(),
+    )
+    def test_random_drops_match_slot_oracle(
+        self, first_day, day_offsets, seed, drop_rate, drop_day_start
+    ):
+        rng = np.random.default_rng(seed)
+        days = [first_day + d for d in sorted(day_offsets)]
+        slots = [day * 86_400 + k * SLOT_SECONDS for day in days for k in range(POINTS_PER_DAY)]
+        keep = rng.random(len(slots)) >= drop_rate
+        if drop_day_start:  # of a later day, whose gap hold fills from the day before
+            day = int(rng.integers(1, len(days))) if len(days) > 1 else 0
+            keep[day * POINTS_PER_DAY] = False
+        rows = [
+            (ts, int(rng.integers(0, 500)), float(rng.uniform(0.0, 120.0)))
+            for ts, kept in zip(slots, keep)
+            if kept
+        ]
+        shuffled = [rows[k] for k in rng.permutation(len(rows))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "road.csv", [f"{t},{f},{v!r}" for t, f, v in shuffled])
+            for impute in (None, "hold"):
+                want = slot_walk(rows, impute)
+                if isinstance(want, int):
+                    with pytest.raises(GapError) as info:
+                        parse_road_csv(path, impute=impute)
+                    assert info.value.slot == want
+                else:
+                    series = parse_road_csv(path, impute=impute)
+                    assert series.timestamps.tolist() == [t for t, _, _ in want]
+                    assert series.flows.tolist() == [f for _, f, _ in want]
+                    assert series.speeds.tolist() == [v for _, _, v in want]
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self, one_day_csv, tmp_path):
@@ -110,7 +185,7 @@ class TestRoundTrip:
         out = tmp_path / "echo.csv"
         serialize_road_csv(series, str(out))
         again = parse_road_csv(str(out))
-        assert again.records == series.records
+        assert same_columns(again, series)
 
     def test_reserialized_numeric_content_matches_source(self, one_day_csv, tmp_path):
         out = tmp_path / "echo.csv"
@@ -128,8 +203,8 @@ class TestSynthesize:
     def test_deterministic_per_seed(self):
         a = synthesize_road_series(1, 7)
         b = synthesize_road_series(1, 7)
-        assert a.records == b.records
-        assert a.records != synthesize_road_series(1, 8).records
+        assert same_columns(a, b)
+        assert not same_columns(a, synthesize_road_series(1, 8))
 
     def test_twenty_days_length(self):
         assert len(synthesize_road_series(20, 1)) == 5760
@@ -158,10 +233,11 @@ class TestSynthesize:
 
 class TestInvariants:
     def test_record_bounds(self):
+        one_day = SLOT_SECONDS * np.arange(POINTS_PER_DAY)
         with pytest.raises(BoundsError):
-            RoadRecord(0, -1, 60.0)
+            constant_series(one_day, flow=-1)
         with pytest.raises(BoundsError):
-            RoadRecord(0, 1, 130.0)
+            constant_series(one_day, speed=130.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -169,71 +245,170 @@ class TestInvariants:
         index=st.integers(min_value=1, max_value=POINTS_PER_DAY - 1),
     )
     def test_random_invalid_mutations_rejected(self, mutation, index):
-        base = [
-            RoadRecord(k * SLOT_SECONDS, 10, 60.0) for k in range(POINTS_PER_DAY)
-        ]
+        ts = [k * SLOT_SECONDS for k in range(POINTS_PER_DAY)]
         if mutation == "drop":
-            del base[index]
+            del ts[index]
         elif mutation == "shift_ts":
-            base[index] = RoadRecord(base[index].timestamp + 60, 10, 60.0)
+            ts[index] += 60
         elif mutation == "swap":
-            base[index - 1], base[index] = base[index], base[index - 1]
+            ts[index - 1], ts[index] = ts[index], ts[index - 1]
         elif mutation == "partial":
-            base = base[:index]
+            ts = ts[:index]
         with pytest.raises((GapError, MalformedRow)):
-            RoadSeries(tuple(base))
+            constant_series(ts)
 
     def test_day_block_off_the_grid_rejected(self):
         # A second day block shifted by 60 s keeps its in-day spacing but
         # leaves the first block's 300-s grid.
-        records = [RoadRecord(k * SLOT_SECONDS, 5, 60.0) for k in range(POINTS_PER_DAY)]
-        records += [
-            RoadRecord(86_400 + 60 + k * SLOT_SECONDS, 5, 60.0) for k in range(POINTS_PER_DAY)
-        ]
+        day = SLOT_SECONDS * np.arange(POINTS_PER_DAY)
         with pytest.raises(GapError, match="off the 300s grid"):
-            RoadSeries(tuple(records))
+            constant_series(np.concatenate([day, 86_400 + 60 + day]))
 
     def test_validation_names_first_bad_record(self):
-        base = [RoadRecord(k * SLOT_SECONDS, 10, 60.0) for k in range(2 * POINTS_PER_DAY)]
-        repeated = list(base)
-        repeated[8] = RoadRecord(7 * SLOT_SECONDS, 10, 60.0)
+        base = SLOT_SECONDS * np.arange(2 * POINTS_PER_DAY)
+        repeated = base.copy()
+        repeated[8] = 7 * SLOT_SECONDS
         with pytest.raises(MalformedRow, match="not strictly increasing at index 8$"):
-            RoadSeries(tuple(repeated))
-        moved = list(base)
-        moved[300] = RoadRecord(300 * SLOT_SECONDS + 600, 10, 60.0)
+            constant_series(repeated)
+        moved = base.copy()
+        moved[300] = 300 * SLOT_SECONDS + 600
         stamp = 300 * SLOT_SECONDS + 600
         with pytest.raises(GapError, match=f"inside a day at timestamp {stamp}$") as info:
-            RoadSeries(tuple(moved))
+            constant_series(moved)
         assert info.value.slot == 300 * SLOT_SECONDS
 
     def test_multi_day_gap_between_days_allowed(self):
         # Friday -> Monday style gap: day blocks need not be adjacent.
-        records = [RoadRecord(k * SLOT_SECONDS, 5, 60.0) for k in range(POINTS_PER_DAY)]
-        monday = 3 * 86_400
-        records += [
-            RoadRecord(monday + k * SLOT_SECONDS, 5, 60.0) for k in range(POINTS_PER_DAY)
-        ]
-        series = RoadSeries(tuple(records))
+        day = SLOT_SECONDS * np.arange(POINTS_PER_DAY)
+        series = constant_series(np.concatenate([day, 3 * 86_400 + day]))
         assert series.days == 2
         assert series.gap_indices() == (POINTS_PER_DAY,)
 
 
+class TestColumns:
+    """`RoadSeries` column types, bounds and ownership."""
+
+    DAY = SLOT_SECONDS * np.arange(POINTS_PER_DAY)
+
+    def columns(self):
+        """One valid day; flows as float64, so that a test can store 3.7 in them."""
+        return self.DAY, np.full(POINTS_PER_DAY, 10.0), np.full(POINTS_PER_DAY, 60.0)
+
+    def test_dtypes_and_values(self):
+        series = RoadSeries(self.DAY.tolist(), [10.0] * POINTS_PER_DAY, [60] * POINTS_PER_DAY)
+        assert series.timestamps.tolist() == self.DAY.tolist()
+        assert series.timestamps.dtype == np.int64
+        assert series.flows.dtype == np.int64
+        assert series.speeds.dtype == np.float64
+        assert series.flows.tolist() == [10] * POINTS_PER_DAY
+
+    def test_nan_speed_rejected(self):
+        ts, flows, speeds = self.columns()
+        speeds[3] = np.nan
+        with pytest.raises(BoundsError, match=r"speeds\[3\] = nan outside"):
+            RoadSeries(ts, flows, speeds)
+
+    @pytest.mark.parametrize("speed", [-0.5, 120.5, np.inf])
+    def test_out_of_range_speed_rejected(self, speed):
+        ts, flows, speeds = self.columns()
+        speeds[7] = speed
+        with pytest.raises(BoundsError, match=r"speeds\[7\] = "):
+            RoadSeries(ts, flows, speeds)
+
+    def test_negative_flow_rejected(self):
+        ts, flows, speeds = self.columns()
+        flows[5] = -5
+        with pytest.raises(BoundsError, match=r"flows\[5\] = -5 < 0"):
+            RoadSeries(ts, flows, speeds)
+
+    @pytest.mark.parametrize("flow", [3.7, np.nan, 1e30])
+    def test_non_integer_flow_rejected(self, flow):
+        ts, flows, speeds = self.columns()
+        flows[9] = flow
+        with pytest.raises(MalformedRow, match=r"flows\[9\] = .* is not an int64 integer"):
+            RoadSeries(ts, flows, speeds)
+
+    def test_non_numeric_column_rejected(self):
+        with pytest.raises(MalformedRow, match="speeds must be numeric"):
+            RoadSeries(self.DAY, np.full(POINTS_PER_DAY, 10), ["60"] * POINTS_PER_DAY)
+
+    def test_column_not_one_dimensional(self):
+        ts, flows, speeds = self.columns()
+        with pytest.raises(ShapeMismatch, match=r"flows must be 1-D, got shape \(2, 144\)"):
+            RoadSeries(ts, flows.reshape(2, -1), speeds)
+
+    def test_column_lengths_differ(self):
+        ts, flows, speeds = self.columns()
+        with pytest.raises(ShapeMismatch, match="column lengths differ"):
+            RoadSeries(ts, flows, speeds[:-1])
+
+    def test_columns_read_only(self):
+        series = RoadSeries(*self.columns())
+        for name in ("timestamps", "flows", "speeds"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(series, name)[0] = 5
+
+    def test_series_owns_copies(self):
+        ts, flows, speeds = self.columns()
+        series = RoadSeries(ts, flows, speeds)
+        flows[0] = -5
+        speeds[0] = 999.0
+        assert series.flows[0] == 10
+        assert series.speeds[0] == 60.0
+
+
+class TestExactText:
+    """CSV text of values that need every digit: numpy scalar reprs must not leak."""
+
+    START = 4_102_444_800  # 2100-01-01, above 2^31
+
+    def series(self):
+        flows = np.zeros(POINTS_PER_DAY, dtype=np.int64)
+        flows[:3] = (7, 3, 2)
+        speeds = np.full(POINTS_PER_DAY, 60.0)
+        speeds[:2] = (0.1 + 0.2, 119.99999999999999)
+        return RoadSeries(self.START + SLOT_SECONDS * np.arange(POINTS_PER_DAY), flows, speeds)
+
+    def test_serialized_lines(self, tmp_path):
+        path = tmp_path / "road.csv"
+        serialize_road_csv(self.series(), str(path))
+        lines = path.read_text().splitlines()
+        assert lines[:4] == [
+            "timestamp,flow,speed",
+            "4102444800,7,0.30000000000000004",
+            "4102445100,3,119.99999999999999",
+            "4102445400,2,60.0",
+        ]
+        assert lines[-1] == "4102530900,0,60.0"
+
+    def test_simulated_lines(self, tmp_path, capsys):
+        road, out = tmp_path / "road.csv", tmp_path / "calls.csv"
+        serialize_road_csv(self.series(), str(road))
+        # Every vehicle hands over exactly once and makes no other call: calls == flow.
+        code = dispatch(["simulate", "--road", str(road), "--lambda", "0", "--h", "1",
+                         "--range", "1.5", "--exact-flow", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[:4] == [
+            "timestamp,flow,speed,calls",
+            "4102444800,7,0.30000000000000004,7",
+            "4102445100,3,119.99999999999999,3",
+            "4102445400,2,60.0,2",
+        ]
+        assert lines[-1] == "4102530900,0,60.0,0"
+
+
 class TestCorrelationReport:
     def test_perfect_anticorrelation(self):
-        records = tuple(
-            RoadRecord(k * SLOT_SECONDS, k % 200, 70.0 - 0.1 * (k % 200))
-            for k in range(POINTS_PER_DAY)
-        )
-        mat = correlation_report(RoadSeries(records))
+        k = np.arange(POINTS_PER_DAY)
+        mat = correlation_report(RoadSeries(k * SLOT_SECONDS, k % 200, 70.0 - 0.1 * (k % 200)))
         assert mat.shape == (2, 2)
         assert abs(mat[0, 1] - (-1.0)) < 1e-12
 
     def test_constant_speed_degenerate(self):
-        records = tuple(
-            RoadRecord(k * SLOT_SECONDS, k % 100, 60.0) for k in range(POINTS_PER_DAY)
-        )
+        k = np.arange(POINTS_PER_DAY)
         with pytest.raises(DegenerateSeries):
-            correlation_report(RoadSeries(records))
+            correlation_report(RoadSeries(k * SLOT_SECONDS, k % 100, np.full(POINTS_PER_DAY, 60.0)))
 
     def test_synthesized_flow_speed_entry_negative(self):
         series = synthesize_road_series(20, 1)

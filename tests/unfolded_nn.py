@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from v2x_loadcast.nn import SIGMOID_BLOCKS, ForwardTrace, _as_batch, _kernel_order
+from v2x_loadcast.nn import SIGMOID_BLOCKS, ForwardTrace, _as_batch
 
 
 def _logistic_inplace(a: np.ndarray) -> None:
@@ -30,9 +30,9 @@ def forward(params, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     cell, hs = params.cell, params.hidden_size
     ns = SIGMOID_BLOCKS[cell] * hs
     xt = x.transpose(1, 0, 2).reshape(m * bsz, d)
-    gates = (xt @ _kernel_order(cell, params.w_x, hs)).reshape(m, bsz, -1)
-    gates += _kernel_order(cell, params.b, hs)
-    w_h = _kernel_order(cell, params.w_h, hs)
+    gates = (xt @ params.w_x).reshape(m, bsz, -1)
+    gates += params.b
+    w_h = params.w_h
     states = np.zeros((m + 1, bsz, hs))
 
     if cell == "lstm":
