@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -185,6 +186,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    for flag in ("step", "tolerance"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{flag} must be finite and > 0, got {value}")
     worst = 0.0
     for k in range(args.seeds):
         cell = "lstm" if k % 2 == 0 else "gru"

@@ -18,6 +18,13 @@ recurrent part of the candidate):
 `backward` returns exact analytic gradients of the batch-mean MSE with
 respect to every parameter; everything runs in float64.
 
+Layout. `ModelParameters` stores its five tensors as views of one contiguous
+float64 vector `flat` of P elements: w_x, w_h, b, w_out, b_out, each
+row-major. The gradient `backward` returns and the RMSProp accumulators are
+(P,) vectors in the same layout, so the optimizer, copies and gradcheck work
+on whole vectors; only `forward` and `backward` read the tensors, through
+`ModelParameters.views`.
+
 Kernel. Parameters and gradients are stored in the block order the kernel
 runs, sigmoid blocks first (LSTM i, f, o, g; GRU r, z, n). `init_parameters`
 draws the LSTM weights as blocks i, f, g, o and swaps the g and o blocks
@@ -44,7 +51,9 @@ the h' W_hn term the reset gate scales. `h_prev` and `c` are views of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,11 +61,20 @@ from .errors import ShapeMismatch
 
 GATE_BLOCKS = {"lstm": 4, "gru": 3}
 SIGMOID_BLOCKS = {"lstm": 3, "gru": 2}  # leading gate blocks
+TENSOR_NAMES = ("w_x", "w_h", "b", "w_out", "b_out")  # their order in `ModelParameters.flat`
 
 
 @dataclass
 class ModelParameters:
-    """All weights of the recurrent cell plus the linear head."""
+    """All weights of the recurrent cell plus the linear head, in one vector.
+
+    The constructor checks the five tensors, copies them into `flat`, one
+    contiguous float64 (P,) vector holding w_x, w_h, b, w_out and b_out in
+    that order, each row-major, and rebinds each field to its view of `flat`:
+    a write through either shows in the other. Gradients from `backward` and
+    the RMSProp accumulators are (P,) vectors in the same layout, and `views`
+    names the tensors of any of them.
+    """
 
     cell: str
     w_x: np.ndarray  # (D, blocks*H) input weights, gate blocks LSTM i, f, o, g / GRU r, z, n
@@ -64,6 +82,7 @@ class ModelParameters:
     b: np.ndarray  # (blocks*H,) same block order
     w_out: np.ndarray  # (H, T_out) linear head
     b_out: np.ndarray  # (T_out,)
+    flat: np.ndarray = field(init=False, repr=False)  # (P,) storage behind the five views
 
     def __post_init__(self):
         if self.cell not in GATE_BLOCKS:
@@ -79,9 +98,10 @@ class ModelParameters:
             raise ShapeMismatch(f"head shape {self.w_out.shape} does not map H={h}")
         if self.b_out.shape != (self.w_out.shape[1],):
             raise ShapeMismatch(f"head bias shape {self.b_out.shape}")
-        for name, tensor in self.tensors().items():
-            if not np.all(np.isfinite(tensor)):
-                raise ShapeMismatch(f"non-finite values in parameter {name}")
+        tensors = [np.ravel(getattr(self, name)) for name in TENSOR_NAMES]
+        self._bind(np.concatenate(tensors, dtype=np.float64))
+        if not np.isfinite(self.flat).all():
+            raise ShapeMismatch("non-finite parameter values")
 
     @property
     def input_size(self) -> int:
@@ -95,25 +115,27 @@ class ModelParameters:
     def out_size(self) -> int:
         return self.w_out.shape[1]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Live views of every parameter tensor, keyed by name."""
-        return {
-            "w_x": self.w_x,
-            "w_h": self.w_h,
-            "b": self.b,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-        }
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """The five tensors of a (P,) vector laid out like `flat`, as views, keyed by name."""
+        views, start = {}, 0
+        for name in TENSOR_NAMES:
+            shape = getattr(self, name).shape
+            stop = start + math.prod(shape)
+            views[name] = vector[start:stop].reshape(shape)
+            start = stop
+        return views
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        for name, view in self.views(flat).items():
+            setattr(self, name, view)
 
     def copy(self) -> "ModelParameters":
-        return replace(
-            self,
-            w_x=self.w_x.copy(),
-            w_h=self.w_h.copy(),
-            b=self.b.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-        )
+        """A copy sharing no memory. Not validated again: training may leave
+        non-finite weights, which `Diverged` reports."""
+        clone = copy.copy(self)
+        clone._bind(self.flat.copy())
+        return clone
 
 
 def init_parameters(
@@ -136,8 +158,7 @@ def init_parameters(
         b[h : 2 * h] = 1.0
         # Drawn as blocks i, f, g, o and stored as i, f, o, g (b's g and o are both 0).
         order = np.r_[: 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
-        w_x = np.ascontiguousarray(w_x[:, order])
-        w_h = np.ascontiguousarray(w_h[:, order])
+        w_x, w_h = w_x[:, order], w_h[:, order]
     w_out = rng.uniform(-scale, scale, (h, out_size))
     b_out = np.zeros(out_size)
     return ModelParameters(cell, w_x, w_h, b, w_out, b_out)
@@ -241,10 +262,9 @@ def predict(params: ModelParameters, inputs: np.ndarray) -> np.ndarray:
     return forward(params, inputs)[0]
 
 
-def backward(
-    params: ModelParameters, trace: ForwardTrace, targets: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Exact gradients of mean((pred - target)^2) over the batch.
+def backward(params: ModelParameters, trace: ForwardTrace, targets: np.ndarray) -> np.ndarray:
+    """Exact gradient of mean((pred - target)^2) over the batch, as a (P,)
+    vector laid out like `params.flat`.
 
     The trace must come from `forward` on the same parameters.
     """
@@ -260,8 +280,10 @@ def backward(
     ns = SIGMOID_BLOCKS[cell] * hs
     d_pred = 2.0 * (trace.preds - targets) / targets.size  # (B, T_out)
 
-    g_w_out = trace.states[-1].T @ d_pred
-    g_b_out = d_pred.sum(axis=0)
+    grad = np.empty_like(params.flat)
+    grad_of = params.views(grad)  # each GEMM or sum below writes into its slice
+    np.matmul(trace.states[-1].T, d_pred, out=grad_of["w_out"])
+    d_pred.sum(axis=0, out=grad_of["b_out"])
     dh = d_pred @ params.w_out.T  # (B, H)
     w_h_t = params.w_h.T
     da = np.empty_like(gates)  # pre-activation gradients
@@ -305,9 +327,9 @@ def backward(
             dh = dh * z + d @ w_h_t
 
     da_flat = da.reshape(m * bsz, gh)
-    g_w_h = trace.h_prev.reshape(m * bsz, hs).T @ da_flat
+    np.matmul(trace.h_prev.reshape(m * bsz, hs).T, da_flat, out=grad_of["w_h"])
     if cell == "gru":
         da[..., ns:] = da_n  # W_x and b see n's pre-activation without the reset gate
-    g_w_x = trace.inputs.transpose(1, 0, 2).reshape(m * bsz, -1).T @ da_flat
-    g_b = da_flat.sum(axis=0)
-    return {"w_x": g_w_x, "w_h": g_w_h, "b": g_b, "w_out": g_w_out, "b_out": g_b_out}
+    np.matmul(trace.inputs.transpose(1, 0, 2).reshape(m * bsz, -1).T, da_flat, out=grad_of["w_x"])
+    da_flat.sum(axis=0, out=grad_of["b"])
+    return grad

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,13 +16,12 @@ DEFAULT_EPSILON = 1e-8
 
 @dataclass
 class RMSPropState:
-    """Per-parameter squared-gradient accumulators plus hyperparameters."""
+    """Squared-gradient accumulators in the layout of `ModelParameters.flat`, plus hyperparameters."""
 
-    acc: dict[str, np.ndarray]
+    acc: np.ndarray  # (P,)
     learning_rate: float = DEFAULT_LEARNING_RATE
     decay: float = DEFAULT_DECAY
     epsilon: float = DEFAULT_EPSILON
-    steps: int = field(default=0)
 
     @classmethod
     def for_parameters(
@@ -32,28 +31,20 @@ class RMSPropState:
         decay: float = DEFAULT_DECAY,
         epsilon: float = DEFAULT_EPSILON,
     ) -> "RMSPropState":
-        acc = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-        return cls(acc, learning_rate, decay, epsilon)
+        return cls(np.zeros_like(params.flat), learning_rate, decay, epsilon)
 
 
 def rmsprop_step(
-    params: ModelParameters, grads: dict[str, np.ndarray], state: RMSPropState
+    params: ModelParameters, grads: np.ndarray, state: RMSPropState
 ) -> tuple[ModelParameters, RMSPropState]:
     """acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/sqrt(acc + eps).
 
-    Updates parameters and state in place and returns them.
+    `grads` is a (P,) vector laid out like `params.flat`, as `backward`
+    returns it. Updates parameters and state in place and returns them.
     """
-    tensors = params.tensors()
-    if set(grads) != set(tensors):
-        raise ShapeMismatch(f"gradient keys {sorted(grads)} != parameter keys {sorted(tensors)}")
-    rho = state.decay
-    for name, theta in tensors.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ShapeMismatch(f"gradient {name} shape {g.shape} != parameter {theta.shape}")
-        acc = state.acc[name]
-        acc *= rho
-        acc += (1.0 - rho) * g * g
-        theta -= state.learning_rate * g / np.sqrt(acc + state.epsilon)
-    state.steps += 1
+    if grads.shape != params.flat.shape:
+        raise ShapeMismatch(f"gradient shape {grads.shape} != parameter shape {params.flat.shape}")
+    state.acc *= state.decay
+    state.acc += (1.0 - state.decay) * grads * grads
+    params.flat -= state.learning_rate * grads / np.sqrt(state.acc + state.epsilon)
     return params, state

@@ -28,6 +28,10 @@ from .errors import (
 
 SLOT_SECONDS = 300
 POINTS_PER_DAY = 288  # 24 h / 5 min
+# Epoch seconds of the first and last slot an ISO timestamp can name; within
+# them every slot of a day fits in int64 and renders in error messages.
+EPOCH_MIN = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+EPOCH_MAX = int(datetime(9999, 12, 31, 23, 55, tzinfo=timezone.utc).timestamp())
 SPEED_MAX_MPH = 120.0
 FLOW_MAX_SYNTH = 600
 SPEED_FLOOR_SYNTH = 5.0
@@ -143,16 +147,18 @@ class RoadSeries:
 def _parse_timestamp(text: str, line: int) -> int:
     text = text.strip()
     try:
-        return int(text)
+        stamp = int(text)
     except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise MalformedRow(f"line {line}: bad timestamp {text!r}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
+        try:
+            parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise MalformedRow(f"line {line}: bad timestamp {text!r}") from exc
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        stamp = int(parsed.timestamp())
+    if not EPOCH_MIN <= stamp <= EPOCH_MAX:
+        raise MalformedRow(f"line {line}: timestamp {text!r} is outside the years 1-9999")
+    return stamp
 
 
 def _parse_flow(text: str, line: int) -> int:

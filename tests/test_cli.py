@@ -206,6 +206,27 @@ class TestDispatch:
         assert dispatch(["gradcheck", "--seeds", "4"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--seeds", "0"],
+        ["--seeds", "2", "--step", "0"],
+        ["--seeds", "2", "--tolerance", "nan"],
+    ])
+    def test_gradcheck_bad_flag_is_config_error(self, argv, capsys):
+        assert dispatch(["gradcheck", *argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: --"), err
+        assert argv[-2] in err[0] and captured.out == ""
+
+    @pytest.mark.parametrize("stamp", ["99999999999999999900", "999999999999900"])
+    def test_ingest_epoch_out_of_range_is_malformed_row(self, stamp, tmp_path, capsys):
+        # Past int64, and past the year 9999 that a gap message could name.
+        path = tmp_path / "far.csv"
+        path.write_text(f"timestamp,flow,speed\n{stamp},1,60\n")
+        assert dispatch(["ingest", "--input", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: MalformedRow: line 2:"), err
+
     def test_report_flattens_epochs(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "runs"

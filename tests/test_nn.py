@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import unfolded_nn
 from reference_nn import reference_backward, reference_forward
@@ -12,6 +13,7 @@ from v2x_loadcast.errors import EmptyBatch, ShapeMismatch
 from v2x_loadcast.gradcheck import check_random_model, grad_check
 from v2x_loadcast.metrics import loss_mse, metric_mae
 from v2x_loadcast.nn import (
+    GATE_BLOCKS,
     ModelParameters,
     backward,
     forward,
@@ -203,8 +205,7 @@ class TestBackward:
         x = np.random.default_rng(0).normal(size=(2, 5, 2))
         preds, trace = forward(params, x)  # predictions are exactly 0
         grads = backward(params, trace, np.zeros((2, 1)))
-        for name, g in grads.items():
-            assert np.all(g == 0.0), name
+        assert grads.shape == params.flat.shape and np.all(grads == 0.0)
 
     def test_dense_bias_gradient_zero_at_minimum(self):
         rng = np.random.default_rng(4)
@@ -212,7 +213,7 @@ class TestBackward:
         x = rng.normal(size=(1, 5, 2))
         preds, trace = forward(params, x)
         grads = backward(params, trace, preds.copy())  # target equals prediction
-        assert grads["b_out"][0] == pytest.approx(0.0, abs=1e-15)
+        assert params.views(grads)["b_out"][0] == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_matches_finite_differences(self, cell):
@@ -269,6 +270,7 @@ class TestKernelOracle:
         ref_grads = reference_backward(ref_params, x, ref_preds, acts, y)
         ref_grads = {k: swap_g_o(cell, g, hidden) if k in gated else g for k, g in ref_grads.items()}
 
+        grads = params.views(grads)
         assert _max_norm_error(preds, ref_preds) <= 1e-12
         assert grads.keys() == ref_grads.keys()
         for name, ref in ref_grads.items():
@@ -298,11 +300,10 @@ class TestKernelOracle:
     def test_parameters_untouched(self, cell):
         rng = np.random.default_rng(11)
         params = init_parameters(cell, 3, 4, rng)
-        before = {name: t.copy() for name, t in params.tensors().items()}
+        before = params.flat.copy()
         _, trace = forward(params, rng.normal(size=(2, 5, 3)))
         backward(params, trace, rng.normal(size=(2, 1)))
-        for name, tensor in params.tensors().items():
-            assert np.array_equal(tensor, before[name]), name
+        assert np.array_equal(params.flat, before)
 
 
 class TestGradCheck:
@@ -319,7 +320,7 @@ class TestGradCheck:
 
         def faulty(p, trace, targets):
             grads = original(p, trace, targets)
-            grads["w_h"] = np.zeros_like(grads["w_h"])
+            p.views(grads)["w_h"][:] = 0.0
             return grads
 
         monkeypatch.setattr(gc, "backward", faulty)
@@ -336,22 +337,52 @@ class TestGradCheck:
 
 
 class TestRMSProp:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cell=st.sampled_from(["lstm", "gru"]),
+        d=st.integers(1, 3),
+        h=st.integers(1, 5),
+        t_out=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_flat_step_matches_per_tensor_replay(self, cell, d, h, t_out, data):
+        params = init_parameters(cell, d, h, np.random.default_rng(0), out_size=t_out)
+        names = ("w_x", "w_h", "b", "w_out", "b_out")  # the documented order of `flat`
+        finite = dict(allow_nan=False, allow_infinity=False)
+        grads = {n: data.draw(arrays(np.float64, getattr(params, n).shape,
+                                     elements=st.floats(-1e3, 1e3, **finite)), label=n)
+                 for n in names}
+        accs = {n: data.draw(arrays(np.float64, getattr(params, n).shape,
+                                    elements=st.floats(0.0, 1e3, **finite)), label=f"acc {n}")
+                for n in names}
+        state = RMSPropState.for_parameters(params, learning_rate=0.01, decay=0.8, epsilon=1e-6)
+        state.acc[:] = np.concatenate([accs[n].ravel() for n in names])
+        want = {}
+        for n in names:  # the per-tensor update, one tensor at a time
+            g, acc = grads[n], accs[n]
+            acc *= 0.8
+            acc += (1.0 - 0.8) * g * g
+            want[n] = getattr(params, n) - 0.01 * g / np.sqrt(acc + 1e-6)
+
+        rmsprop_step(params, np.concatenate([grads[n].ravel() for n in names]), state)
+        for n in names:
+            assert np.array_equal(getattr(params, n), want[n]), n
+        assert np.array_equal(state.acc, np.concatenate([accs[n].ravel() for n in names]))
+
     def test_zero_gradient_decays_accumulator_only(self):
         params = zero_params("lstm", d=1, h=2)
         state = RMSPropState.for_parameters(params)
-        state.acc["b_out"][:] = 1.0
-        before = {k: v.copy() for k, v in params.tensors().items()}
-        grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-        rmsprop_step(params, grads, state)
-        for name, tensor in params.tensors().items():
-            assert np.array_equal(tensor, before[name]), name
-        assert state.acc["b_out"][0] == pytest.approx(0.9)
+        params.views(state.acc)["b_out"][:] = 1.0
+        before = params.flat.copy()
+        rmsprop_step(params, np.zeros_like(params.flat), state)
+        assert np.array_equal(params.flat, before)
+        assert params.views(state.acc)["b_out"][0] == pytest.approx(0.9)
 
     def test_single_step_hand_value(self):
         params = zero_params("lstm", d=1, h=1)
         state = RMSPropState.for_parameters(params)
-        grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-        grads["b_out"] = np.array([1.0])
+        grads = np.zeros_like(params.flat)
+        params.views(grads)["b_out"][:] = 1.0
         rmsprop_step(params, grads, state)
         want = -1e-3 * 1.0 / math.sqrt(0.1 + 1e-8)
         assert params.b_out[0] == pytest.approx(want, rel=1e-12)
@@ -372,18 +403,16 @@ class TestRMSProp:
         params.b_out[0] = 1.0
         state = RMSPropState.for_parameters(params)
         for step in range(2):
-            grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-            grads["b_out"] = np.array([2.0 * params.b_out[0]])
+            grads = np.zeros_like(params.flat)
+            params.views(grads)["b_out"][:] = 2.0 * params.b_out[0]
             rmsprop_step(params, grads, state)
             assert params.b_out[0] == pytest.approx(replay[step], rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         params = zero_params("lstm", d=1, h=1)
         state = RMSPropState.for_parameters(params)
-        grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-        grads["b_out"] = np.zeros(2)
         with pytest.raises(ShapeMismatch):
-            rmsprop_step(params, grads, state)
+            rmsprop_step(params, np.zeros(params.flat.size + 1), state)
 
 
 class TestParameters:
@@ -428,12 +457,35 @@ class TestParameters:
         w_h = rng.uniform(-scale, scale, (3, 12))
         assert np.array_equal(params.w_x, swap_g_o("lstm", w_x, 3))
         assert np.array_equal(params.w_h, swap_g_o("lstm", w_h, 3))
-        for tensor in params.tensors().values():
-            assert tensor.flags.c_contiguous  # gradcheck perturbs through ravel() views
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_fields_are_views_of_flat(self, cell):
+        w_x = np.random.default_rng(7).normal(size=(2, GATE_BLOCKS[cell] * 3))
+        params = ModelParameters(cell, w_x, np.zeros((3, w_x.shape[1])), np.ones(w_x.shape[1]),
+                                 np.full((3, 2), 2.0), np.full(2, 3.0))
+        fields = (params.w_x, params.w_h, params.b, params.w_out, params.b_out)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert np.array_equal(params.flat, np.concatenate([t.ravel() for t in fields]))
+        assert all(np.shares_memory(t, params.flat) for t in fields)
+        assert not np.shares_memory(params.w_x, w_x)  # the constructor copies
+        params.flat[1] = -5.0
+        assert params.w_x[0, 1] == -5.0
+        params.w_out[2, 1] = 7.0
+        assert params.flat[-3] == 7.0
+        for name, view in params.views(params.flat).items():
+            assert np.array_equal(view, getattr(params, name)), name
 
     def test_copy_is_deep(self):
         rng = np.random.default_rng(6)
         params = init_parameters("gru", 2, 3, rng)
         clone = params.copy()
+        assert not np.shares_memory(clone.flat, params.flat)
         clone.w_x[0, 0] += 1.0
         assert params.w_x[0, 0] != clone.w_x[0, 0]
+        assert clone.flat[0] == clone.w_x[0, 0]
+
+    def test_copy_keeps_non_finite_weights(self):
+        # A diverging training step may leave them; `Diverged`, not ShapeMismatch, reports it.
+        params = init_parameters("lstm", 1, 2, np.random.default_rng(8))
+        params.flat[3] = np.nan
+        assert np.isnan(params.copy().w_x[0, 3])
