@@ -39,6 +39,7 @@ timestamps[i] + delta`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +64,17 @@ class ScenarioConfig:
     exact_flow: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError(f"lam {self.lam} < 0")
+        # Written so that NaN fails every float check, and inf every open bound.
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.handover_prob <= 1.0:
             raise ConfigError(f"handover_prob {self.handover_prob} outside [0, 1]")
-        if self.cell_range_miles <= 0:
-            raise ConfigError(f"cell_range_miles {self.cell_range_miles} <= 0")
+        if not 0.0 < self.cell_range_miles < math.inf:
+            raise ConfigError(f"cell_range_miles must be finite and > 0, got {self.cell_range_miles}")
         if self.delta_s <= 0:
             raise ConfigError(f"delta_s {self.delta_s} <= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

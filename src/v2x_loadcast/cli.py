@@ -18,13 +18,7 @@ from . import __version__
 from .calls import ScenarioConfig, simulate_calls
 from .config import AppConfig
 from .errors import ConfigError, LoadcastError
-from .experiment import (
-    GridRow,
-    comparison_table,
-    grid_specs,
-    run_scenario_grid,
-    table_scenarios,
-)
+from .experiment import GridRow, comparison_table, run_scenario_grid
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, check_random_model
 from .rng import derive_int
 from .road import parse_road_csv, serialize_road_csv, synthesize_road_series
@@ -87,7 +81,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    series = parse_road_csv(args.road)
     config = ScenarioConfig(
         lam=args.lam,
         handover_prob=args.handover,
@@ -96,6 +89,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         exact_flow=args.exact_flow,
     )
+    series = parse_road_csv(args.road)
     calls = simulate_calls(series, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("timestamp,flow,speed,calls\n")
@@ -145,44 +139,20 @@ def _write_outputs(rows: list[GridRow], out_dir: Path) -> None:
     (out_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _run_common(args: argparse.Namespace, default_grid: str | None) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
+    """`run` runs the configured scenario; `grid` runs the seven built-in ones."""
     config = _load_config(args)
     if args.dump_config:
         Path(args.dump_config).write_text(config.dump(), encoding="utf-8")
         print(f"wrote {args.dump_config}")
 
-    grid_name = args.grid or default_grid
-    if grid_name not in (None, "table1"):
-        raise ConfigError(f"unknown grid {grid_name!r} (only 'table1' is built in)")
     road = _load_road(config)
-    scenarios = (
-        table_scenarios(config.delta_s, config.exact_flow)
-        if grid_name == "table1"
-        else [config.scenario()]
-    )
-    specs = grid_specs(
-        scenarios,
-        config.seeds,
-        config.modes(),
-        config.window,
-        config.horizon,
-        config.split,
-        config.training(),
-    )
-    rows = run_scenario_grid(specs, road)
+    rows = run_scenario_grid(config.specs(table=args.command == "grid"), road)
     out_dir = Path(config.out_dir)
     _write_outputs(rows, out_dir)
     print(comparison_table(rows))
     print(f"wrote {out_dir / 'metrics.csv'} and {sum(r.report is not None for r in rows)} report(s)")
     return 0 if all(r.report is not None for r in rows) else 1
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    return _run_common(args, default_grid=None)
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
-    return _run_common(args, default_grid="table1")
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
@@ -276,12 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("run", "run the configured scenario in the configured feature mode(s)"),
-        ("grid", "run the built-in seven-scenario grid in both feature modes"),
+        ("grid", "run the built-in seven-scenario grid (table 1) in the configured feature mode(s)"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--grid", default=None, choices=["table1"],
-                       help="override the scenario list with a built-in grid")
         p.add_argument("--days", type=int, default=None)
         p.add_argument("--seeds", default=None, metavar="A,B,C")
         p.add_argument("--out", dest="out_dir", default=None)
@@ -289,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override any config key")
         p.add_argument("--dump-config", default=None, metavar="PATH",
                        help="write the fully resolved config before running")
-        p.set_defaults(func=cmd_run if name == "run" else cmd_grid)
+        p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the BPTT gradients")
     p.add_argument("--seeds", type=int, default=100, help="number of random models")

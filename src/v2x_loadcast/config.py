@@ -1,9 +1,12 @@
-"""Flat key=value run configuration with strict validation.
+"""Flat key=value run configuration: the file format over the domain types.
 
 One config file records a whole run: data source, scenario, features and
-training hyperparameters. Unknown keys are rejected, every value is
-validated before any pipeline stage executes, and `dump` emits a file that
-reproduces the run exactly.
+training hyperparameters. `AppConfig` only maps its keys onto
+`ScenarioConfig`, `ExperimentSpec` and `TrainingConfig`, and those types own
+the checks and defaults of the values they use; `AppConfig` checks only the
+keys none of them owns. Unknown keys are rejected, every value is validated
+before any pipeline stage executes, and `dump` emits a file that reproduces
+the run exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Any
 
 from .calls import ScenarioConfig
 from .errors import ConfigError
+from .experiment import FEATURE_MODES, ExperimentSpec, grid_specs, table_scenarios
 from .training import TrainingConfig
 
 
@@ -34,7 +38,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 @dataclass
 class AppConfig:
-    """Validated run configuration; field names are the config-file keys."""
+    """Run configuration; field names are the config-file keys."""
 
     road_csv: str = ""  # empty -> synthesize
     days: int = 20
@@ -43,20 +47,20 @@ class AppConfig:
     lambda_per_min: float = 0.2
     handover_prob: float = 0.5
     cell_range_miles: float = 1.5
-    delta_s: int = 300
-    exact_flow: bool = False
+    delta_s: int = ScenarioConfig.delta_s
+    exact_flow: bool = ScenarioConfig.exact_flow
     feature_mode: str = "both"  # net | net_road | both
-    window: int = 18
-    horizon: int = 1
-    split: tuple[int, int, int] = (3, 1, 1)
-    cell: str = "lstm"  # lstm | gru
-    hidden_size: int = 32
-    learning_rate: float = 1e-3
-    rho: float = 0.9
-    epsilon: float = 1e-8
-    batch_size: int = 32
-    max_epochs: int = 50
-    patience: int = 5
+    window: int = ExperimentSpec.window
+    horizon: int = ExperimentSpec.horizon
+    split: tuple[int, int, int] = ExperimentSpec.split
+    cell: str = TrainingConfig.cell
+    hidden_size: int = TrainingConfig.hidden_size
+    learning_rate: float = TrainingConfig.learning_rate
+    rho: float = TrainingConfig.rho
+    epsilon: float = TrainingConfig.epsilon
+    batch_size: int = TrainingConfig.batch_size
+    max_epochs: int = TrainingConfig.max_epochs
+    patience: int = TrainingConfig.patience
     seed: int = 1  # root seed (road synthesis stream)
     seeds: tuple[int, ...] = (1, 2, 3)  # per-run seeds
 
@@ -64,30 +68,29 @@ class AppConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Check the keys no domain type owns, then let the run's specs check the rest."""
         checks = [
             (self.days >= 1, "days must be >= 1"),
             (self.impute in ("none", "hold"), "impute must be none or hold"),
-            (self.lambda_per_min >= 0, "lambda_per_min must be >= 0"),
-            (0 <= self.handover_prob <= 1, "handover_prob must lie in [0, 1]"),
-            (self.cell_range_miles > 0, "cell_range_miles must be > 0"),
-            (self.delta_s > 0, "delta_s must be > 0"),
-            (self.feature_mode in ("net", "net_road", "both"), "feature_mode must be net, net_road or both"),
-            (self.window >= 1, "window must be >= 1"),
-            (self.horizon >= 1, "horizon must be >= 1"),
-            (len(self.split) == 3 and all(r > 0 for r in self.split), "split must be three positive integers"),
-            (self.cell in ("lstm", "gru"), "cell must be lstm or gru"),
-            (self.hidden_size >= 1, "hidden_size must be >= 1"),
-            (self.learning_rate > 0, "learning_rate must be > 0"),
-            (0 <= self.rho < 1, "rho must lie in [0, 1)"),
-            (self.epsilon > 0, "epsilon must be > 0"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.max_epochs >= 1, "max_epochs must be >= 1"),
-            (self.patience >= 1, "patience must be >= 1"),
+            (self.feature_mode in ("both", *FEATURE_MODES), "feature_mode must be net, net_road or both"),
             (len(self.seeds) >= 1, "seeds must name at least one seed"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        self.specs(table=False)
+
+    def specs(self, table: bool) -> list[ExperimentSpec]:
+        """The run's specs: the configured scenario, or with `table` the seven built-in ones."""
+        if table:
+            scenarios = table_scenarios(self.delta_s, self.exact_flow)
+        else:
+            scenarios = [ScenarioConfig(self.lambda_per_min, self.handover_prob, self.cell_range_miles,
+                                        self.delta_s, exact_flow=self.exact_flow)]
+        modes = FEATURE_MODES if self.feature_mode == "both" else (self.feature_mode,)
+        training = TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})
+        return grid_specs(scenarios, self.seeds, modes, window=self.window, horizon=self.horizon,
+                          split=self.split, training=training)
 
     # -- parsing ---------------------------------------------------------
 
@@ -140,32 +143,6 @@ class AppConfig:
                 value = repr(value)
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
-
-    # -- adapters ---------------------------------------------------------
-
-    def scenario(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            lam=self.lambda_per_min,
-            handover_prob=self.handover_prob,
-            cell_range_miles=self.cell_range_miles,
-            delta_s=self.delta_s,
-            exact_flow=self.exact_flow,
-        )
-
-    def training(self) -> TrainingConfig:
-        return TrainingConfig(
-            cell=self.cell,
-            hidden_size=self.hidden_size,
-            learning_rate=self.learning_rate,
-            rho=self.rho,
-            epsilon=self.epsilon,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-        )
-
-    def modes(self) -> tuple[str, ...]:
-        return ("net", "net_road") if self.feature_mode == "both" else (self.feature_mode,)
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -62,8 +62,10 @@ class ExperimentSpec:
             raise ConfigError(f"feature_mode must be one of {FEATURE_MODES}")
         if self.window < 1 or self.horizon < 1:
             raise ConfigError("window and horizon must be >= 1")
-        if any(r <= 0 for r in self.split):
-            raise ConfigError(f"split parts must be positive, got {self.split}")
+        if len(self.split) != 3 or any(r <= 0 for r in self.split):
+            raise ConfigError(f"split must be three positive integers, got {self.split}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def scenario_id(self) -> str:
@@ -137,12 +139,11 @@ def prepare_windows(
     return windows, stats, calls_std
 
 
-def naive_baseline(windows: WindowSet, calls_feature: int | None = None) -> float:
+def naive_baseline(windows: WindowSet) -> float:
     """Persistence floor: predict the last observed call count for every horizon step."""
     if len(windows) == 0:
         raise EmptyBatch("no windows to score")
-    col = windows.input_dim - 1 if calls_feature is None else calls_feature
-    last = windows.inputs[:, -1, col]
+    last = windows.inputs[:, -1, -1]  # calls is always the last feature
     preds = np.repeat(last[:, None], windows.horizon, axis=1)
     return metric_mae(preds, windows.targets)
 
@@ -189,7 +190,7 @@ class GridRow:
     error: str | None = None
 
 
-def _max_workers() -> int:
+def _worker_cap() -> int:
     """`V2X_LOADCAST_THREADS` if set, else the cores this process may run on."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
@@ -243,22 +244,20 @@ def _worker_row(spec: ExperimentSpec) -> GridRow:
     return _grid_row(spec, _worker_road)
 
 
-def run_scenario_grid(
-    specs: Sequence[ExperimentSpec], road: RoadSeries, max_workers: int | None = None
-) -> list[GridRow]:
+def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list[GridRow]:
     """Run every spec; per-row failures are recorded and the grid continues.
 
-    Rows run in `min(len(specs), max_workers)` forked worker processes
-    (`max_workers` defaults to `_max_workers()`), each with OpenBLAS pinned
-    to one thread so that workers do not contend for cores. Workers get the
-    road once, at fork, so tasks carry only their spec. The pool is
-    created and joined inside the call, so no process outlives it. Without
-    `fork` or a known OpenBLAS setter the rows run serially. Reports come
-    back in spec order and do not depend on the worker count.
+    Rows run in `min(len(specs), _worker_cap())` forked worker processes,
+    each with OpenBLAS pinned to one thread so that workers do not contend
+    for cores. Workers get the road once, at fork, so tasks carry only their
+    spec. The pool is created and joined inside the call, so no process
+    outlives it. Without `fork` or a known OpenBLAS setter the rows run
+    serially. Reports come back in spec order and do not depend on the
+    worker count.
     """
     if not specs:
         raise ConfigError("empty scenario grid")
-    workers = min(len(specs), _max_workers() if max_workers is None else max(1, max_workers))
+    workers = min(len(specs), _worker_cap())
     if workers > 1:
         # Imported here: at module import they would add ~15 ms to every CLI start.
         import multiprocessing
@@ -302,14 +301,11 @@ def grid_specs(
     scenarios: Sequence[ScenarioConfig],
     seeds: Sequence[int],
     modes: Sequence[str] = FEATURE_MODES,
-    window: int = 18,
-    horizon: int = 1,
-    split: tuple[int, int, int] = (3, 1, 1),
-    training: TrainingConfig | None = None,
+    **fields: Any,
 ) -> list[ExperimentSpec]:
-    training = training or TrainingConfig()
+    """Every scenario x mode x seed; `fields` are the other `ExperimentSpec` fields."""
     return [
-        ExperimentSpec(scenario, mode, window, horizon, split, training, seed)
+        ExperimentSpec(scenario, mode, seed=seed, **fields)
         for scenario in scenarios
         for mode in modes
         for seed in seeds

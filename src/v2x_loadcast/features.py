@@ -193,11 +193,11 @@ def make_windows(
     y: np.ndarray,
     m: int,
     t: int,
-    split: tuple[int, int, int] | None = (3, 1, 1),
+    split: tuple[int, int, int] = (3, 1, 1),
     slots_per_day: int = POINTS_PER_DAY,
     gap_indices: Sequence[int] = (),
-) -> SplitWindows | WindowSet:
-    """Windows per split, split by whole days; `split=None` windows everything.
+) -> SplitWindows:
+    """Windows per split, split by whole days.
 
     Windows are contiguous slices that never straddle a split boundary or a
     day gap; each split holds len_split - M - T + 1 windows when gap-free.
@@ -208,9 +208,6 @@ def make_windows(
         x = x[:, None]
     if x.shape[0] != y.shape[0]:
         raise ShapeMismatch("x and y must align")
-    if split is None:
-        return slice_windows(x, y, m, t, gap_indices)
-
     n = x.shape[0]
     if n % slots_per_day != 0:
         raise InsufficientData(f"{n} samples is not a whole number of {slots_per_day}-slot days")

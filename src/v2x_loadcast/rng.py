@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _key(label: str | int) -> int:
     if isinstance(label, str):
@@ -21,7 +23,9 @@ def _key(label: str | int) -> int:
 
 
 def derive_seed_sequence(root_seed: int, *labels: str | int) -> np.random.SeedSequence:
-    """Seed sequence for the stream identified by `labels` under `root_seed`."""
+    """Seed sequence for the stream identified by `labels` under `root_seed` (>= 0)."""
+    if root_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {root_seed}")
     return np.random.SeedSequence(entropy=root_seed, spawn_key=tuple(_key(l) for l in labels))
 
 

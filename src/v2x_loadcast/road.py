@@ -131,6 +131,10 @@ class RoadSeries:
                 f"timestamp {ts[0]}"
             )
 
+    def __reduce__(self):
+        # Through the constructor, so an unpickled series is validated and read-only again.
+        return type(self), (self.timestamps, self.flows, self.speeds)
+
     @property
     def days(self) -> int:
         return len(self) // POINTS_PER_DAY
@@ -186,7 +190,8 @@ def _parse_speed(text: str, line: int) -> float:
 
 
 def _slot_iso(slot: int) -> str:
-    return datetime.fromtimestamp(slot, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    # isoformat zero-pads the year, which strftime("%Y") does not do on glibc.
+    return datetime.fromtimestamp(slot, tz=timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 def parse_road_csv(
@@ -284,6 +289,8 @@ def synthesize_road_series(
     """
     if days < 1:
         raise ConfigError(f"days must be >= 1, got {days}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if start_epoch % SLOT_SECONDS != 0:
         raise ConfigError("start_epoch must lie on the 300 s slot grid")
     rng = np.random.default_rng(seed)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Diverged, InsufficientData
+from .errors import ConfigError, Diverged, InsufficientData
 from .features import WindowSet
 from .metrics import loss_mse, metric_mae
 from .nn import ModelParameters, backward, forward, init_parameters, predict
@@ -15,7 +16,7 @@ from .optim import RMSPropState, rmsprop_step
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    cell: str = "lstm"
+    cell: str = "lstm"  # lstm | gru
     hidden_size: int = 32
     learning_rate: float = 1e-3
     rho: float = 0.9
@@ -23,6 +24,22 @@ class TrainingConfig:
     batch_size: int = 32
     max_epochs: int = 50
     patience: int = 5
+
+    def __post_init__(self):
+        # Written so that NaN fails every float check, and inf every open bound.
+        checks = [
+            (self.cell in ("lstm", "gru"), "cell must be lstm or gru"),
+            (self.hidden_size >= 1, "hidden_size must be >= 1"),
+            (0 < self.learning_rate < math.inf, "learning_rate must be finite and > 0"),
+            (0 <= self.rho < 1, "rho must lie in [0, 1)"),
+            (0 < self.epsilon < math.inf, "epsilon must be finite and > 0"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.max_epochs >= 1, "max_epochs must be >= 1"),
+            (self.patience >= 1, "patience must be >= 1"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
 
 
 @dataclass

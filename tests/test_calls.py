@@ -14,6 +14,7 @@ from v2x_loadcast.calls import (
     expected_calls,
     simulate_calls,
 )
+from v2x_loadcast.errors import ConfigError
 from v2x_loadcast.experiment import table_scenarios
 from v2x_loadcast.road import (
     POINTS_PER_DAY,
@@ -191,6 +192,19 @@ class TestTypes:
             ScenarioConfig(lam=0.1, handover_prob=0.5, cell_range_miles=0.0)
         with pytest.raises(ValueError):
             ScenarioConfig(lam=0.1, handover_prob=0.5, cell_range_miles=1.5, delta_s=0)
+
+    @pytest.mark.parametrize("fields", [
+        {"lam": float("nan")},
+        {"lam": float("inf")},
+        {"handover_prob": float("nan")},
+        {"cell_range_miles": float("nan")},
+        {"cell_range_miles": float("inf")},
+        {"seed": -1},
+    ])
+    def test_non_finite_or_negative_scenario_value_is_config_error(self, fields):
+        valid = {"lam": 0.1, "handover_prob": 0.5, "cell_range_miles": 1.5}
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            ScenarioConfig(**{**valid, **fields})
 
     def test_call_series_rejects_negative_counts(self):
         with pytest.raises(ValueError):

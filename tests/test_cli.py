@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import v2x_loadcast
+from v2x_loadcast import cli
 from v2x_loadcast.cli import dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
 from v2x_loadcast.errors import ConfigError
@@ -56,6 +62,117 @@ class TestConfig:
         path.write_text("days = 7\ndays = 8\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_file(str(path))
+
+
+def _refuse_road(*args, **kwargs):
+    raise AssertionError("a road was loaded for a config that should have been rejected")
+
+
+def run_set(key_value: str) -> tuple[int, list[str]]:
+    """`run --set key_value` with road loading refused: exit code and stderr lines."""
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "synthesize_road_series", _refuse_road)
+        mp.setattr(cli, "parse_road_csv", _refuse_road)
+        code = dispatch(["run", "--set", key_value])
+    return code, err.getvalue().splitlines()
+
+
+# Bad values per config key. `road_csv` and `out_dir` are left out: any
+# string is a valid path there, and a missing road file is an I/O error.
+_JUNK = st.sampled_from(["", "maybe", "abc", "1,,x", "--", "1e", "0x1g", "1.5.2"])
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "+inf", "-inf", "Infinity"])
+_NOT_AN_INT = st.one_of(_JUNK, _NON_FINITE, st.sampled_from(["1.5", "1e3", "2.0", "true"]))
+_NOT_A_FLOAT = st.one_of(_JUNK, _NON_FINITE)
+
+
+def _finite_floats(bad):
+    """Finite floats, as config text, for which `bad` holds."""
+    return st.floats(allow_nan=False, allow_infinity=False).filter(bad).map(repr)
+
+
+def _int_lists(min_value, bad):
+    """Lists of one to five ints in [min_value, 9], as config text, for which `bad` holds."""
+    ints = st.lists(st.integers(min_value=min_value, max_value=9), min_size=1, max_size=5)
+    return ints.filter(bad).map(lambda xs: ",".join(map(str, xs)))
+
+
+def _not_one_of(*allowed):
+    return st.text(max_size=12).filter(lambda v: v.strip() not in allowed)
+
+
+_NON_POSITIVE_INT = st.one_of(st.integers(max_value=0).map(str), _NOT_AN_INT)
+BAD_VALUES = {
+    "days": _NON_POSITIVE_INT,
+    "impute": _not_one_of("none", "hold"),
+    "lambda_per_min": st.one_of(_finite_floats(lambda x: x < 0), _NOT_A_FLOAT),
+    "handover_prob": st.one_of(_finite_floats(lambda x: not 0 <= x <= 1), _NOT_A_FLOAT),
+    "cell_range_miles": st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT),
+    "delta_s": _NON_POSITIVE_INT,
+    "exact_flow": st.sampled_from(["maybe", "", "2", "nan", "yess", "t"]),
+    "feature_mode": _not_one_of("net", "net_road", "both"),
+    "window": _NON_POSITIVE_INT,
+    "horizon": _NON_POSITIVE_INT,
+    "split": st.one_of(
+        _int_lists(1, lambda xs: len(xs) != 3),
+        _int_lists(-9, lambda xs: len(xs) == 3 and min(xs) <= 0),
+        _JUNK, _NON_FINITE,
+    ),
+    "cell": _not_one_of("lstm", "gru"),
+    "hidden_size": _NON_POSITIVE_INT,
+    "learning_rate": st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT),
+    "rho": st.one_of(_finite_floats(lambda x: not 0 <= x < 1), _NOT_A_FLOAT),
+    "epsilon": st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT),
+    "batch_size": _NON_POSITIVE_INT,
+    "max_epochs": _NON_POSITIVE_INT,
+    "patience": _NON_POSITIVE_INT,
+    "seed": st.one_of(st.integers(max_value=-1).map(str), _NOT_AN_INT),
+    "seeds": st.one_of(_int_lists(-9, lambda xs: min(xs) < 0), _JUNK, _NON_FINITE, st.just(",")),
+}
+_KEYS = {f.name for f in fields(AppConfig)}
+_UNKNOWN_KEY = st.from_regex(r"[a-z_]{1,16}", fullmatch=True).filter(lambda k: k not in _KEYS)
+
+
+class TestBadValues:
+    def test_every_key_but_the_paths_has_bad_values(self):
+        assert set(BAD_VALUES) == _KEYS - {"road_csv", "out_dir"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        *(st.tuples(st.just(key), values) for key, values in BAD_VALUES.items()),
+        st.tuples(_UNKNOWN_KEY, st.text(max_size=8)),
+    ))
+    def test_bad_value_is_one_config_error_line(self, key_value):
+        key, value = key_value
+        code, err = run_set(f"{key}={value}")
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
+
+    @pytest.mark.parametrize("key_value", [
+        # Rejected by the parent's 19 config checks.
+        "days=0", "impute=mean", "lambda_per_min=-1", "handover_prob=1.5",
+        "cell_range_miles=0", "delta_s=0", "feature_mode=roads", "window=0", "horizon=0",
+        "split=3,1", "cell=rnn", "hidden_size=0", "learning_rate=0", "rho=1", "epsilon=0",
+        "batch_size=0", "max_epochs=0", "patience=0", "seeds=,",
+        # Non-finite floats, and seeds numpy cannot take.
+        "lambda_per_min=nan", "lambda_per_min=inf", "cell_range_miles=nan",
+        "cell_range_miles=inf", "learning_rate=nan", "learning_rate=inf", "rho=nan", "rho=inf",
+        "epsilon=nan", "epsilon=inf", "seed=-1", "seeds=1,-2",
+    ])
+    def test_run_bad_value_is_config_error(self, key_value):
+        code, err = run_set(key_value)
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
+        assert key_value[:3] in err[0]  # names the key, or the field it feeds
+
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--range", "nan")])
+    def test_simulate_non_finite_is_config_error(self, flag, value, one_day_csv, tmp_path, capsys):
+        argv = {"--lambda": "0.2", "--h": "0.5", "--range": "1.5", flag: value}
+        code = dispatch(["simulate", "--road", str(one_day_csv), "--out", str(tmp_path / "c.csv"),
+                         *[x for item in argv.items() for x in item]])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
+        assert captured.out == "" and not (tmp_path / "c.csv").exists()
 
 
 class TestDispatch:
@@ -167,6 +284,13 @@ class TestDispatch:
         a = (out1 / "metrics.csv").read_text()
         b = (out2 / "metrics.csv").read_text()
         assert a == b
+
+    def test_grid_runs_the_seven_table_scenarios(self, tmp_path):
+        cfg, out = write_config(tmp_path, SMALL_RUN.replace("max_epochs = 2", "max_epochs = 1")), tmp_path / "g"
+        assert dispatch(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 7 and len({row.split(",")[0] for row in rows}) == 7
+        assert dispatch(["grid", "--grid", "table1", "--config", str(cfg)]) == 2  # the flag is gone
 
     def test_set_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -153,10 +153,12 @@ class TestGrid:
             run_scenario_grid([], road6)
         assert isinstance(info.value, ValueError)
 
-    def test_grid_deterministic_and_order_independent(self, road6):
+    def test_grid_deterministic_and_order_independent(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
-        serial = run_scenario_grid(specs, road6, max_workers=1)
-        parallel = run_scenario_grid(specs, road6, max_workers=2)
+        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        serial = run_scenario_grid(specs, road6)
+        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        parallel = run_scenario_grid(specs, road6)
         assert [r.spec for r in parallel] == specs
         for a, b in zip(serial, parallel):
             da, db = a.report.to_dict(), b.report.to_dict()
@@ -165,27 +167,31 @@ class TestGrid:
 
     def test_workers_get_the_road_without_pickling_it(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
-        serial = run_scenario_grid(specs, road6, max_workers=1)
+        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        serial = run_scenario_grid(specs, road6)
         monkeypatch.setattr(RoadSeries, "__reduce_ex__", _refuse_pickle)
-        parallel = run_scenario_grid(specs, road6, max_workers=2)
+        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        parallel = run_scenario_grid(specs, road6)
         for a, b in zip(serial, parallel):
             da, db = a.report.to_dict(), b.report.to_dict()
             da.pop("wall_ms"), db.pop("wall_ms")
             assert da == db
 
-    def test_failing_row_recorded_grid_continues(self, road6):
+    def test_failing_row_recorded_grid_continues(self, road6, monkeypatch):
         dead = ScenarioConfig(lam=0.0, handover_prob=0.0, cell_range_miles=1.5)
         live = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5)
         specs = grid_specs([dead, live], seeds=[1, 2], modes=("net_road",), training=TINY)
-        rows = run_scenario_grid(specs, road6, max_workers=2)
+        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        rows = run_scenario_grid(specs, road6)
         assert all(r.report is None and "DegenerateFeature" in r.error for r in rows[:2])
         assert all(r.report is not None and r.error is None for r in rows[2:])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_diverged_row_recorded_grid_continues(self, road6, workers):
+    def test_diverged_row_recorded_grid_continues(self, road6, monkeypatch, workers):
         ok = small_spec()
         diverging = small_spec(training=replace(TINY, learning_rate=1e200))
-        rows = run_scenario_grid([diverging, ok], road6, max_workers=workers)
+        monkeypatch.setenv(experiment.THREADS_ENV, str(workers))
+        rows = run_scenario_grid([diverging, ok], road6)
         assert rows[0].report is None and rows[0].error.startswith("Diverged: epoch 1:")
         assert rows[1].report is not None and rows[1].error is None
 
@@ -193,12 +199,14 @@ class TestGrid:
     def test_unexpected_error_reaches_caller_with_its_type(self, road6, monkeypatch, workers):
         monkeypatch.setattr(experiment, "run_experiment", _raise_lookup_error)
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
+        monkeypatch.setenv(experiment.THREADS_ENV, str(workers))
         with pytest.raises(LookupError, match="not a LoadcastError"):
-            run_scenario_grid(specs, road6, max_workers=workers)
+            run_scenario_grid(specs, road6)
 
-    def test_no_process_outlives_the_grid(self, road6):
+    def test_no_process_outlives_the_grid(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
-        run_scenario_grid(specs, road6, max_workers=2)
+        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        run_scenario_grid(specs, road6)
         assert multiprocessing.active_children() == []
         children = []
         for path in glob.glob("/proc/self/task/*/children"):
@@ -213,20 +221,21 @@ class TestGrid:
             pytest.skip("no OpenBLAS thread setter in this process")
         monkeypatch.setattr(experiment, "run_experiment", _worker_pid_and_blas_threads)
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
-        rows = run_scenario_grid(specs, road6, max_workers=2)
+        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        rows = run_scenario_grid(specs, road6)
         assert all(pid != os.getpid() for pid, _ in (row.report for row in rows))
         assert [threads for _, threads in (row.report for row in rows)] == [1] * len(specs)
 
     def test_thread_cap_read_from_environment(self, monkeypatch):
         monkeypatch.setenv(experiment.THREADS_ENV, "3")
-        assert experiment._max_workers() == 3
+        assert experiment._worker_cap() == 3
         monkeypatch.setenv(experiment.THREADS_ENV, "0")
-        assert experiment._max_workers() == 1
+        assert experiment._worker_cap() == 1
         monkeypatch.delenv(experiment.THREADS_ENV)
-        assert experiment._max_workers() == len(os.sched_getaffinity(0))
+        assert experiment._worker_cap() == len(os.sched_getaffinity(0))
         monkeypatch.setenv(experiment.THREADS_ENV, "two")
         with pytest.raises(ConfigError, match=experiment.THREADS_ENV):
-            experiment._max_workers()
+            experiment._worker_cap()
 
 
 # Stand-ins for run_experiment. Workers are forked, so a monkeypatched module
@@ -256,6 +265,28 @@ class TestSpecValidation:
         scenario = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5)
         with pytest.raises(ValueError):
             ExperimentSpec(scenario, split=(3, 0, 1))
+
+    @pytest.mark.parametrize("fields", [
+        {"split": (3, 1)},
+        {"split": (3, 1, 1, 1)},
+        {"window": 0},
+        {"horizon": 0},
+        {"seed": -1},
+    ])
+    def test_bad_field_is_config_error(self, fields):
+        scenario = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5)
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            ExperimentSpec(scenario, **fields)
+
+    def test_grid_specs_passes_fields_through(self):
+        scenarios = table_scenarios()[:2]
+        specs = grid_specs(scenarios, [4, 5], ("net",), window=6, training=TINY)
+        assert [(s.scenario, s.seed) for s in specs] == [
+            (sc, seed) for sc in scenarios for seed in (4, 5)
+        ]
+        assert {(s.feature_mode, s.window, s.horizon, s.split, s.training) for s in specs} == {
+            ("net", 6, ExperimentSpec.horizon, ExperimentSpec.split, TINY)
+        }
 
     def test_scenario_id_format(self):
         spec = small_spec()

@@ -1,3 +1,4 @@
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from conftest import constant_series
 from v2x_loadcast.cli import dispatch
 from v2x_loadcast.errors import (
     BoundsError,
+    ConfigError,
     DegenerateSeries,
     GapError,
     MalformedRow,
@@ -19,6 +21,7 @@ from v2x_loadcast.road import (
     POINTS_PER_DAY,
     SLOT_SECONDS,
     RoadSeries,
+    _parse_timestamp,
     correlation_report,
     parse_road_csv,
     serialize_road_csv,
@@ -79,6 +82,14 @@ class TestParse:
         with pytest.raises(GapError) as exc:
             parse_road_csv(path)
         assert exc.value.slot == 300
+
+    def test_gap_message_names_a_slot_that_parses_back(self, tmp_path, capsys):
+        # The first slot of year 1: glibc's strftime("%Y") would write "1-01-01".
+        path = write_csv(tmp_path / "gap.csv", ["-62135596800,1,60"])
+        assert dispatch(["ingest", "--input", path]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: GapError: missing 5-minute slot at 0001-01-01T00:05:00Z"
+        assert _parse_timestamp(err.rsplit(" ", 1)[1], 2) == -62135596800 + SLOT_SECONDS
 
     def test_impute_hold_repeats_previous_record(self, tmp_path):
         rows = [f"{k * SLOT_SECONDS},{k},60" for k in range(POINTS_PER_DAY)]
@@ -230,6 +241,10 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_road_series(0, 1)
 
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed"):
+            synthesize_road_series(1, -1)
+
 
 class TestInvariants:
     def test_record_bounds(self):
@@ -355,6 +370,18 @@ class TestColumns:
         speeds[0] = 999.0
         assert series.flows[0] == 10
         assert series.speeds[0] == 60.0
+
+    def test_pickle_round_trip_is_validated_and_read_only(self):
+        ts, flows, speeds = self.columns()
+        series = RoadSeries(ts, flows, speeds)
+        payload = pickle.dumps(series)
+        again = pickle.loads(payload)
+        assert same_columns(again, series)
+        assert not any(getattr(again, n).flags.writeable for n in ("timestamps", "flows", "speeds"))
+        bad = series.flows.copy()
+        bad[7] = -1
+        with pytest.raises(BoundsError, match=r"flows\[7\] = -1"):
+            pickle.loads(payload.replace(series.flows.tobytes(), bad.tobytes(), 1))
 
 
 class TestExactText:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import unfolded_nn
 from v2x_loadcast import nn, training
-from v2x_loadcast.errors import Diverged, InsufficientData
+from v2x_loadcast.errors import ConfigError, Diverged, InsufficientData
 from v2x_loadcast.features import WindowSet
 from v2x_loadcast.metrics import loss_mse
 from v2x_loadcast.nn import forward, init_parameters, backward
@@ -153,3 +154,24 @@ def test_late_divergence_keeps_best_epoch(cell, monkeypatch):
     assert np.isnan(result.train_losses[1]) and np.isnan(result.val_maes[1])
     assert result.val_maes[0] == first.val_maes[0]
     assert np.array_equal(result.params.flat, first.params.flat)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cell", "rnn"),
+    ("hidden_size", 0),
+    ("learning_rate", 0.0),
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("rho", 1.0),
+    ("rho", -0.1),
+    ("rho", math.nan),
+    ("epsilon", 0.0),
+    ("epsilon", math.nan),
+    ("epsilon", math.inf),
+    ("batch_size", 0),
+    ("max_epochs", 0),
+    ("patience", 0),
+])
+def test_bad_training_config_is_config_error(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainingConfig(**{field: value})
