@@ -50,11 +50,17 @@ from .road import SLOT_SECONDS, RoadSeries
 DWELL_CAP_MIN = 60.0
 SPEED_FLOOR_MPH = 5.0
 CHUNK_CALLS = 1 << 20  # calls drawn and binned per chunk of whole intervals
+MAX_LAM = 1000.0  # requests per minute per vehicle; the paper's rates are 0.2 and 0.6
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Stochastic-model and cell parameters for one scenario."""
+    """Stochastic-model and cell parameters for one scenario.
+
+    `lam` lies in [0, MAX_LAM]: a thousand requests per minute per vehicle,
+    over a thousand times the paper's rates, keeps each vehicle's Poisson
+    mean (lam times a dwell of at most 60 min) far inside what numpy draws.
+    """
 
     lam: float  # new service requests per minute per vehicle
     handover_prob: float
@@ -65,8 +71,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # Written so that NaN fails every float check, and inf every open bound.
-        if not 0.0 <= self.lam < math.inf:
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0.0 <= self.lam <= MAX_LAM:
+            raise ConfigError(f"lam must be in [0, {MAX_LAM:g}], got {self.lam}")
         if not 0.0 <= self.handover_prob <= 1.0:
             raise ConfigError(f"handover_prob {self.handover_prob} outside [0, 1]")
         if not 0.0 < self.cell_range_miles < math.inf:

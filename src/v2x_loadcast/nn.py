@@ -23,7 +23,9 @@ float64 vector `flat` of P elements: w_x, w_h, b, w_out, b_out, each
 row-major. The gradient `backward` returns and the RMSProp accumulators are
 (P,) vectors in the same layout, so the optimizer, copies and gradcheck work
 on whole vectors; only `forward` and `backward` read the tensors, through
-`ModelParameters.views`.
+`ModelParameters.views`. `flat` may also be a (*lead, P) stack of models
+(`ModelParameters.with_flat`), each tensor then a (*lead, ...) view; the
+per-model shapes come from the trailing axes.
 
 Kernel. Parameters and gradients are stored in the block order the kernel
 runs, sigmoid blocks first (LSTM i, f, o, g; GRU r, z, n). `init_parameters`
@@ -32,8 +34,9 @@ once, so a seed gives the same gate weights in either layout. Sigmoid is
 evaluated as s(x) = 0.5 * tanh(0.5 x) + 0.5, which cannot overflow, and the
 halving of x lives in the weights: each call multiplies the sigmoid columns
 of W_x, W_h and b by 0.5, which is exact in binary floating point, so the
-halved pre-activations are bit for bit 0.5 times the plain ones. An LSTM step then activates its whole (B, 4H) row with one tanh and
-one `a * scale + offset` (0.5 and 0.5 on the sigmoid columns, 1 and 0 on g);
+halved pre-activations are bit for bit 0.5 times the plain ones. An LSTM
+step then activates its whole (B, 4H) row with one tanh and one
+`a * scale + offset` (0.5 and 0.5 on the sigmoid columns, 1 and 0 on g);
 the GRU does the same on its r, z columns before n, which needs r. One GEMM
 computes the input projection of the whole window into a time-major
 (M, B, G*H) buffer; each step adds h' W_h to its slice and activates it in
@@ -42,11 +45,19 @@ buffers whose first row is the zero initial state. `backward` writes each
 step's pre-activation gradients into one (M, B, G*H) buffer and computes the
 W_x, W_h and b gradients after the loop with one GEMM or sum each.
 
-`ForwardTrace`: `inputs` (B, M, D) as given and `preds` (B, T_out), then,
-time-major, `states` (M+1, B, H) and the activated `gates` (M, B, G*H); LSTM
-adds `cells` (M+1, B, H) and `tanh_c` (M, B, H), GRU adds `hh_n` (M, B, H),
-the h' W_hn term the reset gate scales. `h_prev` and `c` are views of
-`states` and `cells`.
+`forward` broadcasts over the leading model axes of a stacked `flat`: every
+model reads the same inputs, the GEMMs are stacked `matmul`s, and time stays
+the first axis, so the gate buffer is (M, *lead, B, G*H) (a view of the one
+input GEMM's (*lead, M*B, G*H) result) and the states (M+1, *lead, B, H).
+A step indexes `gates[t]` and `states[t]` whatever the stack, and a single
+model (lead = ()) runs on the plain (M, B, G*H) and (M+1, B, H) shapes.
+`backward` takes a single model only.
+
+`ForwardTrace`: `inputs` (B, M, D) as given and `preds` (*lead, B, T_out),
+then, time-major, `states` (M+1, *lead, B, H) and the activated `gates`
+(M, *lead, B, G*H); LSTM adds `cells` (M+1, *lead, B, H) and `tanh_c`
+(M, *lead, B, H), GRU adds `hh_n` (M, *lead, B, H), the h' W_hn term the
+reset gate scales. `h_prev` and `c` are views of `states` and `cells`.
 """
 
 from __future__ import annotations
@@ -62,6 +73,7 @@ from .errors import ShapeMismatch
 GATE_BLOCKS = {"lstm": 4, "gru": 3}
 SIGMOID_BLOCKS = {"lstm": 3, "gru": 2}  # leading gate blocks
 TENSOR_NAMES = ("w_x", "w_h", "b", "w_out", "b_out")  # their order in `ModelParameters.flat`
+TENSOR_NDIMS = (2, 2, 1, 2, 1)  # the axes of each per model, after any leading model axes
 
 
 @dataclass
@@ -73,7 +85,7 @@ class ModelParameters:
     that order, each row-major, and rebinds each field to its view of `flat`:
     a write through either shows in the other. Gradients from `backward` and
     the RMSProp accumulators are (P,) vectors in the same layout, and `views`
-    names the tensors of any of them.
+    names the tensors of any of them, or of a (*lead, P) stack of them.
     """
 
     cell: str
@@ -82,7 +94,7 @@ class ModelParameters:
     b: np.ndarray  # (blocks*H,) same block order
     w_out: np.ndarray  # (H, T_out) linear head
     b_out: np.ndarray  # (T_out,)
-    flat: np.ndarray = field(init=False, repr=False)  # (P,) storage behind the five views
+    flat: np.ndarray = field(init=False, repr=False)  # (P,) or (*lead, P) storage behind the views
 
     def __post_init__(self):
         if self.cell not in GATE_BLOCKS:
@@ -105,23 +117,23 @@ class ModelParameters:
 
     @property
     def input_size(self) -> int:
-        return self.w_x.shape[0]
+        return self.w_x.shape[-2]
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[0]
+        return self.w_h.shape[-2]
 
     @property
     def out_size(self) -> int:
-        return self.w_out.shape[1]
+        return self.w_out.shape[-1]
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """The five tensors of a (P,) vector laid out like `flat`, as views, keyed by name."""
+        """The five tensors of a (..., P) vector laid out like `flat`, as views, keyed by name."""
         views, start = {}, 0
-        for name in TENSOR_NAMES:
-            shape = getattr(self, name).shape
+        for name, ndim in zip(TENSOR_NAMES, TENSOR_NDIMS):
+            shape = getattr(self, name).shape[-ndim:]  # one model's
             stop = start + math.prod(shape)
-            views[name] = vector[start:stop].reshape(shape)
+            views[name] = vector[..., start:stop].reshape(vector.shape[:-1] + shape)
             start = stop
         return views
 
@@ -130,12 +142,17 @@ class ModelParameters:
         for name, view in self.views(flat).items():
             setattr(self, name, view)
 
-    def copy(self) -> "ModelParameters":
-        """A copy sharing no memory. Not validated again: training may leave
+    def with_flat(self, flat: np.ndarray) -> "ModelParameters":
+        """Parameters over `flat`, a (P,) vector or a (*lead, P) stack of models
+        in this layout, sharing its memory. Not validated: training may leave
         non-finite weights, which `Diverged` reports."""
         clone = copy.copy(self)
-        clone._bind(self.flat.copy())
+        clone._bind(flat)
         return clone
+
+    def copy(self) -> "ModelParameters":
+        """A copy sharing no memory, not validated again."""
+        return self.with_flat(self.flat.copy())
 
 
 def init_parameters(
@@ -181,21 +198,21 @@ class ForwardTrace:
     """Activations retained for backpropagation through time, time-major but for `inputs`."""
 
     inputs: np.ndarray  # (B, M, D) as given to `forward`
-    preds: np.ndarray  # (B, T_out)
-    states: np.ndarray  # (M+1, B, H) hidden state; states[0] = 0 enters step 0
-    gates: np.ndarray  # (M, B, G*H) activated gates
-    cells: np.ndarray | None = None  # LSTM (M+1, B, H) cell state; cells[0] = 0
-    tanh_c: np.ndarray | None = None  # LSTM (M, B, H) tanh of cells[1:]
-    hh_n: np.ndarray | None = None  # GRU (M, B, H) h_prev @ W_hn, for the reset-gate gradient
+    preds: np.ndarray  # (*lead, B, T_out)
+    states: np.ndarray  # (M+1, *lead, B, H) hidden state; states[0] = 0 enters step 0
+    gates: np.ndarray  # (M, *lead, B, G*H) activated gates
+    cells: np.ndarray | None = None  # LSTM (M+1, *lead, B, H) cell state; cells[0] = 0
+    tanh_c: np.ndarray | None = None  # LSTM (M, *lead, B, H) tanh of cells[1:]
+    hh_n: np.ndarray | None = None  # GRU (M, *lead, B, H) h_prev @ W_hn, for the reset gate
 
     @property
     def h_prev(self) -> np.ndarray:
-        """(M, B, H) hidden state entering each step."""
+        """(M, *lead, B, H) hidden state entering each step."""
         return self.states[:-1]
 
     @property
     def c(self) -> np.ndarray | None:
-        """(M, B, H) LSTM cell state leaving each step."""
+        """(M, *lead, B, H) LSTM cell state leaving each step."""
         return None if self.cells is None else self.cells[1:]
 
     def __len__(self) -> int:
@@ -212,9 +229,10 @@ def _as_batch(inputs: np.ndarray, d: int) -> np.ndarray:
 
 
 def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the window through the cell; returns predictions (B, T_out) and the trace."""
+    """Run the window through the cell; returns predictions (*lead, B, T_out) and the trace."""
     x = _as_batch(inputs, params.input_size)
     bsz, m, d = x.shape
+    lead = params.flat.shape[:-1]  # () for one model
     cell, hs = params.cell, params.hidden_size
     ns = SIGMOID_BLOCKS[cell] * hs
     # Halving the sigmoid columns of the weights is exact in binary floating
@@ -222,39 +240,43 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
     scale = np.ones(GATE_BLOCKS[cell] * hs)
     scale[:ns] = 0.5
     xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
-    gates = (xt @ (params.w_x * scale)).reshape(m, bsz, -1)
-    gates += params.b * scale
+    gates = (xt @ (params.w_x * scale)).reshape(*lead, m, bsz, -1)
+    b, b_out = params.b * scale, params.b_out
+    if lead:  # a stack: time first, (M, *lead, B, G*H), and the biases broadcast over B
+        gates = np.moveaxis(gates, len(lead), 0)
+        b, b_out = b[..., None, :], b_out[..., None, :]
+    gates += b
     w_h = params.w_h * scale
-    states = np.zeros((m + 1, bsz, hs))
+    states = np.zeros((m + 1, *lead, bsz, hs))
 
     if cell == "lstm":
         offset = 1.0 - scale
-        cells = np.zeros((m + 1, bsz, hs))
-        tanh_c = np.empty((m, bsz, hs))
+        cells = np.zeros((m + 1, *lead, bsz, hs))
+        tanh_c = np.empty((m, *lead, bsz, hs))
         for t in range(m):
             a = gates[t]
             a += states[t] @ w_h
             _activate(a, scale, offset)
-            i, f, o, g = a[:, :hs], a[:, hs : 2 * hs], a[:, 2 * hs : ns], a[:, ns:]
+            i, f, o, g = a[..., :hs], a[..., hs : 2 * hs], a[..., 2 * hs : ns], a[..., ns:]
             np.multiply(f, cells[t], out=cells[t + 1])
             cells[t + 1] += i * g
             np.tanh(cells[t + 1], out=tanh_c[t])
             np.multiply(o, tanh_c[t], out=states[t + 1])
         extra = {"cells": cells, "tanh_c": tanh_c}
     else:
-        hh = np.empty_like(gates)  # h_prev @ W_h per step, r and z columns halved
+        hh = np.empty(gates.shape)  # time-major h_prev @ W_h per step, r and z columns halved
         for t in range(m):
             a = gates[t]
             np.matmul(states[t], w_h, out=hh[t])
-            a[:, :ns] += hh[t, :, :ns]
-            _activate(a[:, :ns], 0.5, 0.5)
-            r, z, n = a[:, :hs], a[:, hs:ns], a[:, ns:]
-            n += r * hh[t, :, ns:]
+            a[..., :ns] += hh[t][..., :ns]
+            _activate(a[..., :ns], 0.5, 0.5)
+            r, z, n = a[..., :hs], a[..., hs:ns], a[..., ns:]
+            n += r * hh[t][..., ns:]
             np.tanh(n, out=n)
             np.multiply(z, states[t], out=states[t + 1])
             states[t + 1] += (1.0 - z) * n
         extra = {"hh_n": hh[..., ns:]}
-    preds = states[m] @ params.w_out + params.b_out
+    preds = states[m] @ params.w_out + b_out
     return preds, ForwardTrace(x, preds, states, gates, **extra)
 
 
@@ -266,8 +288,10 @@ def backward(params: ModelParameters, trace: ForwardTrace, targets: np.ndarray) 
     """Exact gradient of mean((pred - target)^2) over the batch, as a (P,)
     vector laid out like `params.flat`.
 
-    The trace must come from `forward` on the same parameters.
+    The trace must come from `forward` on the same parameters, one model.
     """
+    if params.flat.ndim != 1:
+        raise ShapeMismatch(f"backward takes one model, got a stack of {params.flat.shape[:-1]}")
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets[:, None]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import v2x_loadcast
 from v2x_loadcast import cli
+from v2x_loadcast.calls import MAX_LAM
 from v2x_loadcast.cli import dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
 from v2x_loadcast.errors import ConfigError
@@ -106,7 +107,7 @@ _NON_POSITIVE_INT = st.one_of(st.integers(max_value=0).map(str), _NOT_AN_INT)
 BAD_VALUES = {
     "days": _NON_POSITIVE_INT,
     "impute": _not_one_of("none", "hold"),
-    "lambda_per_min": st.one_of(_finite_floats(lambda x: x < 0), _NOT_A_FLOAT),
+    "lambda_per_min": st.one_of(_finite_floats(lambda x: not 0 <= x <= MAX_LAM), _NOT_A_FLOAT),
     "handover_prob": st.one_of(_finite_floats(lambda x: not 0 <= x <= 1), _NOT_A_FLOAT),
     "cell_range_miles": st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT),
     "delta_s": _NON_POSITIVE_INT,
@@ -158,13 +159,17 @@ class TestBadValues:
         "lambda_per_min=nan", "lambda_per_min=inf", "cell_range_miles=nan",
         "cell_range_miles=inf", "learning_rate=nan", "learning_rate=inf", "rho=nan", "rho=inf",
         "epsilon=nan", "epsilon=inf", "seed=-1", "seeds=1,-2",
+        # Finite, but past what numpy's Poisson draw takes.
+        "lambda_per_min=1e300",
     ])
     def test_run_bad_value_is_config_error(self, key_value):
         code, err = run_set(key_value)
         assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
         assert key_value[:3] in err[0]  # names the key, or the field it feeds
 
-    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--range", "nan")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--range", "nan"), ("--lambda", "1e300"),
+    ])
     def test_simulate_non_finite_is_config_error(self, flag, value, one_day_csv, tmp_path, capsys):
         argv = {"--lambda": "0.2", "--h": "0.5", "--range": "1.5", flag: value}
         code = dispatch(["simulate", "--road", str(one_day_csv), "--out", str(tmp_path / "c.csv"),
@@ -329,6 +334,12 @@ class TestDispatch:
     def test_gradcheck_passes(self, capsys):
         assert dispatch(["gradcheck", "--seeds", "4"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_gradcheck_nan_errors_fail(self, capsys):
+        # A step this large overflows the loss, so every model's error is NaN.
+        assert dispatch(["gradcheck", "--seeds", "2", "--step", "1e300"]) == 1
+        out = capsys.readouterr().out
+        assert "max relative error nan; FAIL" in out, out
 
     @pytest.mark.parametrize("argv", [
         ["--seeds", "0"],

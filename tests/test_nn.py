@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import unfolded_nn
+import v2x_loadcast.gradcheck as gc
+from reference_gradcheck import reference_numerical_gradients
 from reference_nn import reference_backward, reference_forward
 from v2x_loadcast.errors import EmptyBatch, ShapeMismatch
-from v2x_loadcast.gradcheck import check_random_model, grad_check
+from v2x_loadcast.gradcheck import check_random_model, grad_check, numerical_gradients
 from v2x_loadcast.metrics import loss_mse, metric_mae
 from v2x_loadcast.nn import (
     GATE_BLOCKS,
@@ -306,10 +308,87 @@ class TestKernelOracle:
         assert np.array_equal(params.flat, before)
 
 
-class TestGradCheck:
-    def test_injected_fault_detected(self, monkeypatch):
-        import v2x_loadcast.gradcheck as gc
+class TestStackedForward:
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
+    def test_each_model_matches_its_own_forward(self, cell, lead):
+        rng = np.random.default_rng(31)
+        params = init_parameters(cell, 3, 4, rng, out_size=2)
+        stack = params.flat + rng.normal(0.0, 0.5, (*lead, params.flat.size))
+        x = rng.normal(0.0, 1.0, (3, 5, 3))
+        preds, trace = forward(params.with_flat(stack), x)
+        assert preds.shape == (*lead, 3, 2) and len(trace) == 5
+        assert trace.h_prev.shape == (5, *lead, 3, 4)
+        for k in np.ndindex(lead):
+            one, one_trace = forward(params.with_flat(stack[k]), x)
+            assert np.allclose(preds[k], one, rtol=0.0, atol=1e-12), k
+            states = trace.states[(slice(None), *k)]
+            assert np.allclose(states, one_trace.states, rtol=0.0, atol=1e-12), k
 
+    def test_views_follow_the_stack(self):
+        params = init_parameters("gru", 2, 3, np.random.default_rng(0))
+        stack = np.repeat(params.flat[None, :], 4, axis=0)
+        stacked = params.with_flat(stack)
+        assert stacked.w_h.shape == (4, 3, 9) and stacked.hidden_size == 3
+        stacked.w_h[2, 0, 0] = 5.0
+        assert stack[2, 2 * 9] == 5.0  # w_h starts after the (2, 9) w_x
+        assert np.shares_memory(stacked.flat, stack) and params.w_h[0, 0] != 5.0
+
+    def test_backward_rejects_a_stack(self):
+        rng = np.random.default_rng(32)
+        params = init_parameters("lstm", 3, 4, rng)
+        stacked = params.with_flat(np.stack([params.flat, params.flat]))
+        x, y = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 1))
+        _, trace = forward(stacked, x)
+        with pytest.raises(ShapeMismatch, match="one model"):
+            backward(stacked, trace, y)
+
+
+class TestGradCheck:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cell=st.sampled_from(["lstm", "gru"]),
+        d=st.sampled_from([1, 3]),
+        h=st.sampled_from([1, 4]),
+        window=st.sampled_from([1, 5]),
+        batch=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_matches_per_element_loop(self, cell, d, h, window, batch, seed):
+        rng = np.random.default_rng(seed)
+        params = init_parameters(cell, d, h, rng)
+        x = rng.normal(0.0, 1.0, (batch, window, d))
+        y = rng.normal(0.0, 1.0, (batch, 1))
+        before = params.flat.copy()
+        got = numerical_gradients(params, x, y)
+        assert np.array_equal(params.flat, before)
+        ref = reference_numerical_gradients(params, x, y, gc.DEFAULT_STEP)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
+
+    def test_blocks_match_per_element_loop(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        params = init_parameters("lstm", 3, 8, rng)
+        x = rng.normal(0.0, 1.0, (3, 5, 3))
+        y = rng.normal(0.0, 1.0, (3, 1))
+        calls = []
+
+        def counted(p, inputs):
+            calls.append(p.flat.shape[0])
+            return forward(p, inputs)
+
+        monkeypatch.setattr(gc, "forward", counted)
+        got = numerical_gradients(params, x, y)
+        assert len(calls) > 1 and sum(calls) == 2 * params.flat.size, calls
+        ref = reference_numerical_gradients(params, x, y, gc.DEFAULT_STEP)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
+
+    def test_target_shape_mismatch(self):
+        rng = np.random.default_rng(34)
+        params = init_parameters("gru", 1, 2, rng)
+        with pytest.raises(ShapeMismatch):
+            numerical_gradients(params, rng.normal(size=(2, 4, 1)), np.zeros((3, 1)))
+
+    def test_injected_fault_detected(self, monkeypatch):
         rng = np.random.default_rng(9)
         params = init_parameters("lstm", 3, 4, rng)
         x = rng.normal(size=(2, 5, 3))
