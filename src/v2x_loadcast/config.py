@@ -72,7 +72,10 @@ class AppConfig:
         checks = [
             (self.days >= 1, "days must be >= 1"),
             (self.impute in ("none", "hold"), "impute must be none or hold"),
-            (self.feature_mode in ("both", *FEATURE_MODES), "feature_mode must be net, net_road or both"),
+            (
+                self.feature_mode in ("both", *FEATURE_MODES),
+                f"feature_mode must be {', '.join(FEATURE_MODES)} or both",
+            ),
             (len(self.seeds) >= 1, "seeds must name at least one seed"),
         ]
         for ok, message in checks:

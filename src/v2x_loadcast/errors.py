@@ -25,8 +25,8 @@ class BoundsError(LoadcastError, ValueError):
     """A value lies outside its sanity range (negative flow or count, speed > 120 mph, ...)."""
 
 
-class DegenerateSeries(LoadcastError):
-    """A correlation was requested over a variable with zero variance."""
+class WorkerDied(LoadcastError):
+    """A grid worker process ended abruptly (killed by a signal, say), losing its row."""
 
 
 class DegenerateFeature(LoadcastError):

@@ -17,10 +17,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from .calls import ScenarioConfig, simulate_calls
-from .errors import ConfigError, EmptyBatch, InsufficientData, LoadcastError
+from .errors import ConfigError, EmptyBatch, LoadcastError, WorkerDied
 from .features import (
-    CALLS_COLUMN,
     FEATURE_NAMES,
+    MODE_COLUMNS,
     SplitWindows,
     WindowSet,
     build_feature_matrix,
@@ -42,7 +42,7 @@ BLAS_SETTERS = (
     "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
-FEATURE_MODES = ("net", "net_road")
+FEATURE_MODES = tuple(MODE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -118,25 +118,23 @@ def prepare_windows(
     calls = simulate_calls(road, derive_scenario(spec))
     raw = build_feature_matrix(road, calls)
     selected = select_mode_columns(raw, spec.feature_mode)
-    names = FEATURE_NAMES if spec.feature_mode == "net_road" else (FEATURE_NAMES[CALLS_COLUMN],)
+    names = tuple(FEATURE_NAMES[c] for c in MODE_COLUMNS[spec.feature_mode])
 
     train_days, _, _ = split_day_counts(road.days, spec.split)
     train_rows = train_days * POINTS_PER_DAY
     stats = fit_normalizer(selected[:train_rows], names)
     normalized = stats.transform(selected)
 
-    calls_col = normalized.shape[1] - 1  # calls is always the last selected column
     windows = make_windows(
         normalized,
-        normalized[:, calls_col],
+        normalized[:, -1],  # calls is last in every mode's columns
         spec.window,
         spec.horizon,
         spec.split,
         POINTS_PER_DAY,
         road.gap_indices(),
     )
-    calls_std = float(stats.std[calls_col])
-    return windows, stats, calls_std
+    return windows, stats, float(stats.std[-1])
 
 
 def naive_baseline(windows: WindowSet) -> float:
@@ -152,8 +150,6 @@ def run_experiment(spec: ExperimentSpec, road: RoadSeries) -> RunReport:
     """Train on the first split, early-stop on the second, report on the third."""
     started = time.perf_counter()
     windows, stats, calls_std = prepare_windows(spec, road)
-    if len(windows.train) == 0 or len(windows.val) == 0 or len(windows.test) == 0:
-        raise InsufficientData("one of the splits produced no windows")
 
     result: TrainingResult = train_forecaster(
         windows.train, windows.val, spec.training, derive_rng(spec.seed, "train")
@@ -223,11 +219,15 @@ def openblas_function(names: Sequence[str]):
     return None
 
 
+def _failed_row(spec: ExperimentSpec, exc: LoadcastError) -> GridRow:
+    return GridRow(spec, error=f"{type(exc).__name__}: {exc}")
+
+
 def _grid_row(spec: ExperimentSpec, road: RoadSeries) -> GridRow:
     try:
         return GridRow(spec, report=run_experiment(spec, road))
     except LoadcastError as exc:
-        return GridRow(spec, error=f"{type(exc).__name__}: {exc}")
+        return _failed_row(spec, exc)
 
 
 _worker_road: RoadSeries | None = None  # the grid's road, in a forked worker
@@ -253,7 +253,10 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
     spec. The pool is created and joined inside the call, so no process
     outlives it. Without `fork` or a known OpenBLAS setter the rows run
     serially. Reports come back in spec order and do not depend on the
-    worker count.
+    worker count. A worker that dies (killed by a signal, say) breaks the
+    pool: every row not finished by then, its own and those running beside
+    it, comes back failed with `WorkerDied`, and the finished rows keep
+    their reports.
     """
     if not specs:
         raise ConfigError("empty scenario grid")
@@ -261,7 +264,7 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
     if workers > 1:
         # Imported here: at module import they would add ~15 ms to every CLI start.
         import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         set_blas_threads = openblas_function(BLAS_SETTERS)
         if set_blas_threads is not None and "fork" in multiprocessing.get_all_start_methods():
@@ -272,7 +275,14 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
                 initializer=_init_worker,
                 initargs=(set_blas_threads, road),
             ) as pool:
-                return list(pool.map(_worker_row, specs))
+                futures = [pool.submit(_worker_row, spec) for spec in specs]
+                rows = []
+                for spec, future in zip(specs, futures):
+                    try:
+                        rows.append(future.result())
+                    except BrokenProcessPool as exc:
+                        rows.append(_failed_row(spec, WorkerDied(str(exc))))
+                return rows
     return [_grid_row(s, road) for s in specs]
 
 

@@ -2,9 +2,11 @@
 
 The raw per-interval sample is (flow, speed level, call count). Speed is
 discretized into 8 levels; every feature is z-scored with statistics fitted
-on the training split only; windows of M consecutive samples with the next
-T call counts as target are cut per split so that no window straddles a
-split boundary or a day gap.
+on the training split only. `MODE_COLUMNS` names the raw columns each
+feature mode feeds the network. Windows of M consecutive samples with the
+next T call counts as target are cut in one pass over all three splits:
+split boundaries and day gaps are marked in one break array, and no window
+holds a break strictly inside its span.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .road import POINTS_PER_DAY, RoadSeries
 
 FEATURE_NAMES = ("flow", "speed_level", "calls")
 CALLS_COLUMN = 2
+# Raw columns each feature mode feeds the network; calls is last in every mode.
+MODE_COLUMNS = {"net": (CALLS_COLUMN,), "net_road": (0, 1, CALLS_COLUMN)}
 
 _LO, _HI, _BINS = 20.0, 60.0, 6  # levels 2..7 partition [20, 60) into 6 equal bins
 
@@ -134,47 +138,6 @@ class SplitWindows(NamedTuple):
     test: WindowSet
 
 
-def slice_windows(
-    x: np.ndarray,
-    y: np.ndarray,
-    m: int,
-    t: int,
-    gap_indices: Sequence[int] = (),
-    offset: int = 0,
-) -> WindowSet:
-    """Cut every window of M inputs + T targets that avoids the given gaps.
-
-    `gap_indices` are absolute sample indices (offset by `offset` for a
-    segment of a larger series) whose sample is discontinuous with its
-    predecessor; no window may contain such a boundary strictly inside.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    if m < 1 or t < 1:
-        raise ConfigError("window length and horizon must be >= 1")
-    span = m + t
-    if n - span + 1 <= 0:
-        raise InsufficientData(f"{n} samples cannot host a window of {m}+{t}")
-
-    starts = np.arange(n - span + 1)
-    local_gaps = [g - offset for g in gap_indices if 0 < g - offset < n]
-    if local_gaps:
-        keep = np.ones(len(starts), dtype=bool)
-        for g in local_gaps:
-            keep &= (starts + span <= g) | (starts >= g)
-        starts = starts[keep]
-        if starts.size == 0:
-            raise InsufficientData("every candidate window straddles a gap")
-
-    # Fancy indexing copies the selected windows into C-contiguous arrays.
-    inputs = sliding_window_view(x, (m, x.shape[1]))[starts, 0]
-    targets = sliding_window_view(y, t)[starts + m]
-    return WindowSet(inputs, targets)
-
-
 def split_day_counts(days: int, ratios: tuple[int, int, int]) -> tuple[int, int, int]:
     """Allocate whole days to train/val/test by ratio; val/test floored, min 1."""
     if any(r <= 0 for r in ratios):
@@ -197,10 +160,13 @@ def make_windows(
     slots_per_day: int = POINTS_PER_DAY,
     gap_indices: Sequence[int] = (),
 ) -> SplitWindows:
-    """Windows per split, split by whole days.
+    """Windows of M inputs + T targets per split, split by whole days, cut in one pass.
 
-    Windows are contiguous slices that never straddle a split boundary or a
-    day gap; each split holds len_split - M - T + 1 windows when gap-free.
+    A break is a sample discontinuous with its predecessor: a day gap from
+    `gap_indices` or the first sample of the val or test split. A window is
+    kept when no break lies strictly inside its M+T span, so each split holds
+    len_split - M - T + 1 windows when gap-free. Raises InsufficientData when
+    a split keeps none.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -211,21 +177,35 @@ def make_windows(
     n = x.shape[0]
     if n % slots_per_day != 0:
         raise InsufficientData(f"{n} samples is not a whole number of {slots_per_day}-slot days")
-    days = n // slots_per_day
-    counts = split_day_counts(days, split)
-    sets = []
-    start = 0
-    for d in counts:
-        end = start + d * slots_per_day
-        sets.append(slice_windows(x[start:end], y[start:end], m, t, gap_indices, offset=start))
-        start = end
-    return SplitWindows(*sets)
+    bounds = np.cumsum(split_day_counts(n // slots_per_day, split)[:2]) * slots_per_day
+    if m < 1 or t < 1:
+        raise ConfigError("window length and horizon must be >= 1")
+    span = m + t
+
+    gaps = np.asarray(gap_indices, dtype=np.int64)
+    breaks = np.zeros(n, dtype=bool)
+    breaks[gaps[(gaps > 0) & (gaps < n)]] = True
+    breaks[bounds] = True
+    seen = np.cumsum(breaks)  # breaks at or before each sample
+    starts = np.arange(n - span + 1)
+    starts = starts[seen[starts + span - 1] == seen[starts]]
+
+    # Each kept window lies inside one split, so the splits cut `starts` in order.
+    cuts = np.searchsorted(starts, bounds)
+    if not 0 < cuts[0] < cuts[1] < len(starts):
+        raise InsufficientData(f"a split holds no window of {m}+{t} samples clear of every break")
+    # Fancy indexing copies the kept windows into C-contiguous arrays.
+    inputs = sliding_window_view(x, (m, x.shape[1]))[starts, 0]
+    targets = sliding_window_view(y, t)[starts + m]
+    return SplitWindows(
+        *(WindowSet(i, o) for i, o in zip(np.split(inputs, cuts), np.split(targets, cuts)))
+    )
 
 
 def select_mode_columns(matrix: np.ndarray, mode: str) -> np.ndarray:
-    """Columns for the feature ablation: `net` keeps calls only, `net_road` all three."""
-    if mode == "net":
-        return matrix[:, [CALLS_COLUMN]]
-    if mode == "net_road":
-        return matrix
-    raise ConfigError(f"unknown feature mode {mode!r}")
+    """The `MODE_COLUMNS` columns of a raw feature matrix, as a C-ordered array."""
+    if mode not in MODE_COLUMNS:
+        raise ConfigError(f"unknown feature mode {mode!r}")
+    # Fancy indexing on axis 1 can return an F-ordered array, whose axis-0
+    # mean and std round differently from a C-ordered one's.
+    return np.ascontiguousarray(matrix[:, MODE_COLUMNS[mode]])

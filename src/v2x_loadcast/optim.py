@@ -19,9 +19,9 @@ class RMSPropState:
     """Squared-gradient accumulators in the layout of `ModelParameters.flat`, plus hyperparameters."""
 
     acc: np.ndarray  # (P,)
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    decay: float = DEFAULT_DECAY
-    epsilon: float = DEFAULT_EPSILON
+    learning_rate: float
+    decay: float
+    epsilon: float
 
     @classmethod
     def for_parameters(
@@ -34,17 +34,14 @@ class RMSPropState:
         return cls(np.zeros_like(params.flat), learning_rate, decay, epsilon)
 
 
-def rmsprop_step(
-    params: ModelParameters, grads: np.ndarray, state: RMSPropState
-) -> tuple[ModelParameters, RMSPropState]:
+def rmsprop_step(params: ModelParameters, grads: np.ndarray, state: RMSPropState) -> None:
     """acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/sqrt(acc + eps).
 
     `grads` is a (P,) vector laid out like `params.flat`, as `backward`
-    returns it. Updates parameters and state in place and returns them.
+    returns it. Updates parameters and state in place.
     """
     if grads.shape != params.flat.shape:
         raise ShapeMismatch(f"gradient shape {grads.shape} != parameter shape {params.flat.shape}")
     state.acc *= state.decay
     state.acc += (1.0 - state.decay) * grads * grads
     params.flat -= state.learning_rate * grads / np.sqrt(state.acc + state.epsilon)
-    return params, state

@@ -1,4 +1,4 @@
-"""Road measurement series: parsing, validation, synthesis, correlation.
+"""Road measurement series: parsing, validation, synthesis.
 
 A road series holds 5-minute observations covering whole days of 288 slots
 each, as three read-only numpy columns: timestamps, vehicle flows and average
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     BoundsError,
     ConfigError,
-    DegenerateSeries,
     GapError,
     MalformedRow,
     ShapeMismatch,
@@ -276,9 +275,7 @@ def _gaussian_bump(hours: np.ndarray, center: float, width: float) -> np.ndarray
     return np.exp(-0.5 * ((hours - center) / width) ** 2)
 
 
-def synthesize_road_series(
-    days: int, seed: int, start_epoch: int = DEFAULT_START_EPOCH
-) -> RoadSeries:
+def synthesize_road_series(days: int, seed: int) -> RoadSeries:
     """Deterministic weekday-like series: bimodal flow, congestion speed dips.
 
     Flow follows a two-peak commute profile with per-day amplitude variation
@@ -291,8 +288,6 @@ def synthesize_road_series(
         raise ConfigError(f"days must be >= 1, got {days}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if start_epoch % SLOT_SECONDS != 0:
-        raise ConfigError("start_epoch must lie on the 300 s slot grid")
     rng = np.random.default_rng(seed)
 
     hours = (np.arange(POINTS_PER_DAY) * SLOT_SECONDS / 3600.0) % 24.0
@@ -367,26 +362,6 @@ def synthesize_road_series(
 
     flow_int = np.clip(np.rint(all_flow), 0, FLOW_MAX_SYNTH).astype(np.int64)
     speed_clipped = np.clip(all_speed, SPEED_FLOOR_SYNTH, SPEED_CEIL_SYNTH)
-    timestamps = start_epoch + SLOT_SECONDS * np.arange(days * POINTS_PER_DAY, dtype=np.int64)
+    timestamps = DEFAULT_START_EPOCH + SLOT_SECONDS * np.arange(days * POINTS_PER_DAY, dtype=np.int64)
     return RoadSeries(timestamps, flow_int, speed_clipped)
 
-
-def correlation_report(series: RoadSeries, calls: np.ndarray | None = None) -> np.ndarray:
-    """Pearson correlation matrix of (flow, speed[, calls]).
-
-    Returns a symmetric matrix with unit diagonal and entries clipped to
-    [-1, 1]; raises DegenerateSeries when any variable has zero variance.
-    """
-    columns = [("flow", series.flows.astype(np.float64)), ("speed", series.speeds)]
-    if calls is not None:
-        calls = np.asarray(calls, dtype=np.float64)
-        if calls.shape != (len(series),):
-            raise ShapeMismatch("calls must align 1:1 with the road series")
-        columns.append(("calls", calls))
-    for name, col in columns:
-        if np.ptp(col) == 0.0:
-            raise DegenerateSeries(f"variable {name!r} has zero variance")
-    mat = np.corrcoef(np.vstack([col for _, col in columns]))
-    mat = np.clip(mat, -1.0, 1.0)
-    np.fill_diagonal(mat, 1.0)
-    return mat

@@ -11,16 +11,16 @@ from .errors import ConfigError, Diverged, InsufficientData
 from .features import WindowSet
 from .metrics import loss_mse, metric_mae
 from .nn import ModelParameters, backward, forward, init_parameters, predict
-from .optim import RMSPropState, rmsprop_step
+from .optim import DEFAULT_DECAY, DEFAULT_EPSILON, DEFAULT_LEARNING_RATE, RMSPropState, rmsprop_step
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
     cell: str = "lstm"  # lstm | gru
     hidden_size: int = 32
-    learning_rate: float = 1e-3
-    rho: float = 0.9
-    epsilon: float = 1e-8
+    learning_rate: float = DEFAULT_LEARNING_RATE
+    rho: float = DEFAULT_DECAY
+    epsilon: float = DEFAULT_EPSILON
     batch_size: int = 32
     max_epochs: int = 50
     patience: int = 5

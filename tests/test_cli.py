@@ -335,6 +335,7 @@ class TestDispatch:
         assert dispatch(["gradcheck", "--seeds", "4"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gradcheck_nan_errors_fail(self, capsys):
         # A step this large overflows the loss, so every model's error is NaN.
         assert dispatch(["gradcheck", "--seeds", "2", "--step", "1e300"]) == 1

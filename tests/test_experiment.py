@@ -3,6 +3,8 @@ import glob
 import json
 import multiprocessing
 import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 
 from v2x_loadcast.calls import ScenarioConfig
 from v2x_loadcast import experiment
+from v2x_loadcast.cli import dispatch
 from v2x_loadcast.errors import ConfigError, DegenerateFeature, EmptyBatch
 from v2x_loadcast.experiment import (
     ExperimentSpec,
@@ -208,13 +211,43 @@ class TestGrid:
         monkeypatch.setenv(experiment.THREADS_ENV, "2")
         run_scenario_grid(specs, road6)
         assert multiprocessing.active_children() == []
-        children = []
-        for path in glob.glob("/proc/self/task/*/children"):
-            try:
-                children += Path(path).read_text().split()
-            except FileNotFoundError:  # the thread ended after the glob; it has no children
-                pass
-        assert children == []
+        assert _child_pids() == []
+
+    def test_killed_worker_fails_its_row_and_the_rest_are_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
+            pytest.skip("no OpenBLAS thread setter in this process, so rows run serially")
+        real, parent = experiment.run_experiment, os.getpid()
+
+        def die_on_seed_2(spec, road):
+            # Seed 2's worker kills itself once seeds 1 and 3 have finished.
+            if spec.seed != 2:
+                report = real(spec, road)
+                (tmp_path / f"done{spec.seed}").touch()
+                return report
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("done*"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)  # let the finished rows reach the parent
+            assert os.getpid() != parent, "the row ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(experiment, "run_experiment", die_on_seed_2)
+        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(
+            "days = 6\nfeature_mode = net_road\nhidden_size = 6\nmax_epochs = 1\nseeds = 1,2,3\n"
+        )
+        assert dispatch(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: WorkerDied: "), err
+        assert err[0].endswith("/net_road/seed2)"), err
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == ["1", "3"]
+        assert len(list(out.glob("*.json"))) == 2
+        assert multiprocessing.active_children() == []
+        assert _child_pids() == []
 
     def test_rows_run_in_workers_with_one_blas_thread(self, road6, monkeypatch):
         if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
@@ -236,6 +269,16 @@ class TestGrid:
         monkeypatch.setenv(experiment.THREADS_ENV, "two")
         with pytest.raises(ConfigError, match=experiment.THREADS_ENV):
             experiment._worker_cap()
+
+
+def _child_pids() -> list[str]:
+    children = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            children += Path(path).read_text().split()
+        except FileNotFoundError:  # the thread ended after the glob; it has no children
+            pass
+    return children
 
 
 # Stand-ins for run_experiment. Workers are forked, so a monkeypatched module

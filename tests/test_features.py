@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from v2x_loadcast.calls import CallSeries
 from v2x_loadcast.errors import DegenerateFeature, InsufficientData, LoadcastError
 from v2x_loadcast.features import (
+    CALLS_COLUMN,
     FEATURE_NAMES,
+    MODE_COLUMNS,
     WindowSet,
     build_feature_matrix,
     discretize_speed,
@@ -14,7 +16,6 @@ from v2x_loadcast.features import (
     fit_normalizer,
     make_windows,
     select_mode_columns,
-    slice_windows,
     split_day_counts,
 )
 from v2x_loadcast.road import parse_road_csv, synthesize_road_series
@@ -110,15 +111,15 @@ class TestNormalizer:
 
 class TestWindows:
     def test_single_split_counts(self):
-        x = np.arange(20.0)
-        ws = slice_windows(x, x, 18, 1)
-        assert len(ws) == 2
-        assert ws.window_length == 18 and ws.horizon == 1
+        x = np.arange(60.0)
+        split = make_windows(x, x, 18, 1, (1, 1, 1), 20)
+        assert [len(ws) for ws in split] == [2, 2, 2]
+        assert split.train.window_length == 18 and split.train.horizon == 1
 
     def test_boundary_insufficient(self):
-        x = np.arange(18.0)
+        x = np.arange(54.0)
         with pytest.raises(InsufficientData):
-            slice_windows(x, x, 18, 1)
+            make_windows(x, x, 18, 1, (1, 1, 1), 18)
 
     def test_twenty_day_split_counts(self):
         n = 20 * 288
@@ -130,12 +131,12 @@ class TestWindows:
         assert len(split.test) == 4 * 288 - 18
 
     def test_windows_are_contiguous_slices(self):
-        x = np.arange(40.0)
-        ws = slice_windows(x, x, 5, 2)
-        for k in range(len(ws)):
-            start = ws.inputs[k, 0, 0]
-            assert np.array_equal(ws.inputs[k, :, 0], np.arange(start, start + 5))
-            assert np.array_equal(ws.targets[k], np.arange(start + 5, start + 7))
+        x = np.arange(120.0)
+        for ws in make_windows(x, x, 5, 2, (1, 1, 1), 40):
+            for k in range(len(ws)):
+                start = ws.inputs[k, 0, 0]
+                assert np.array_equal(ws.inputs[k, :, 0], np.arange(start, start + 5))
+                assert np.array_equal(ws.targets[k], np.arange(start + 5, start + 7))
 
     def test_no_window_crosses_split_boundary(self):
         n = 5 * 288
@@ -152,44 +153,59 @@ class TestWindows:
     def test_gap_windows_match_brute_force(self):
         n, m, t = 60, 6, 2
         x = np.arange(float(n))
-        gaps = (13, 40)
-        ws = slice_windows(x, x, m, t, gap_indices=gaps)
-        # Brute-force oracle: enumerate starts, drop windows containing a gap.
+        gaps = (13, 40)  # 40 is also the test split's first sample
+        split = make_windows(x, x, m, t, (1, 1, 1), 20, gaps)
+        # Brute-force oracle: enumerate starts, drop windows containing a break.
+        breaks = (13, 20, 40)
         expected = [
             s
             for s in range(n - m - t + 1)
-            if not any(s < g < s + m + t for g in gaps)
+            if not any(s < g < s + m + t for g in breaks)
         ]
-        assert ws.inputs[:, 0, 0].astype(int).tolist() == expected
+        got = np.concatenate([ws.inputs[:, 0, 0] for ws in split])
+        assert got.astype(int).tolist() == expected
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        n=st.integers(min_value=2, max_value=80),
+        slots=st.integers(min_value=1, max_value=12),
+        days=st.integers(min_value=1, max_value=8),
+        ratios=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3),
         d=st.integers(min_value=1, max_value=3),
         m=st.integers(min_value=1, max_value=12),
         t=st.integers(min_value=1, max_value=4),
-        offset=st.integers(min_value=0, max_value=30),
-        gaps=st.lists(st.integers(min_value=-5, max_value=120), max_size=6),
+        gaps=st.lists(st.integers(min_value=-5, max_value=100), max_size=6),
         strided=st.booleans(),
     )
-    def test_windows_match_stacked_slices(self, n, d, m, t, offset, gaps, strided):
-        # The windows equal the per-start stacked slices, whatever the gaps,
-        # and come back C-contiguous even from a strided column view.
+    def test_windows_match_stacked_slices(self, slots, days, ratios, d, m, t, gaps, strided):
+        # Per split, the windows equal the stacked slices at every start with
+        # no split boundary or gap strictly inside, and come back C-contiguous
+        # even from a strided column view. A split with no such start raises.
+        n = slots * days
         rng = np.random.default_rng(n * 1000 + d)
         wide = rng.normal(size=(n, d + 2))
         x = wide[:, 1 : d + 1] if strided else np.ascontiguousarray(wide[:, :d])
         y = wide[:, -1]
         span = m + t
-        local = [g - offset for g in gaps if 0 < g - offset < n]
-        starts = [s for s in range(n - span + 1) if not any(s < g < s + span for g in local)]
-        if not starts:
+        try:
+            counts = split_day_counts(days, ratios)
+        except InsufficientData:
             with pytest.raises(InsufficientData):
-                slice_windows(x, y, m, t, gaps, offset)
+                make_windows(x, y, m, t, ratios, slots, gaps)
             return
-        ws = slice_windows(x, y, m, t, gaps, offset)
-        assert np.array_equal(ws.inputs, np.stack([x[s : s + m] for s in starts]))
-        assert np.array_equal(ws.targets, np.stack([y[s + m : s + span] for s in starts]))
-        assert ws.inputs.flags.c_contiguous and ws.targets.flags.c_contiguous
+        ends = np.cumsum(counts) * slots
+        per_split = [
+            [s for s in range(lo, hi - span + 1) if not any(s < g < s + span for g in gaps)]
+            for lo, hi in zip([0, *ends[:-1]], ends)
+        ]
+        if not all(per_split):
+            with pytest.raises(InsufficientData):
+                make_windows(x, y, m, t, ratios, slots, gaps)
+            return
+        split = make_windows(x, y, m, t, ratios, slots, gaps)
+        for ws, starts in zip(split, per_split):
+            assert np.array_equal(ws.inputs, np.stack([x[s : s + m] for s in starts]))
+            assert np.array_equal(ws.targets, np.stack([y[s + m : s + span] for s in starts]))
+            assert ws.inputs.flags.c_contiguous and ws.targets.flags.c_contiguous
 
     def test_split_requires_whole_days(self):
         x = np.arange(100.0)
@@ -222,9 +238,14 @@ class TestFusion:
         fused = select_mode_columns(mat, "net_road")
         assert net.shape == (10, 1)
         assert np.array_equal(net[:, 0], mat[:, 2])  # calls only
-        assert fused.shape == (10, 3)
+        assert np.array_equal(fused, mat)
+        assert fused.flags.c_contiguous  # an F-ordered copy normalizes to other roundings
         with pytest.raises(ValueError):
             select_mode_columns(mat, "road")
+
+    def test_calls_last_in_every_mode(self):
+        # Callers take the calls column as the last selected one.
+        assert all(cols[-1] == CALLS_COLUMN for cols in MODE_COLUMNS.values())
 
     def test_mode_window_dimensions(self):
         rng = np.random.default_rng(0)
@@ -242,7 +263,7 @@ class TestFusion:
         lambda: CallSeries(np.array([1, -2, 3])),
         lambda: WindowSet(np.zeros((2, 3)), np.zeros((2, 1))),
         lambda: WindowSet(np.zeros((2, 3, 1)), np.zeros((3, 1))),
-        lambda: slice_windows(np.arange(30.0), np.arange(30.0), 0, 1),
+        lambda: make_windows(np.arange(30.0), np.arange(30.0), 0, 1, (1, 1, 1), 10),
         lambda: discretize_speed(-1.0),
         lambda: discretize_speeds(np.array([10.0, np.nan])),
         lambda: select_mode_columns(np.zeros((4, 3)), "road"),
@@ -255,7 +276,7 @@ class TestFusion:
         "call-series-negative",
         "window-set-ndim",
         "window-set-count",
-        "slice-windows-m",
+        "make-windows-m",
         "discretize-speed",
         "discretize-speeds-nan",
         "select-mode-columns",

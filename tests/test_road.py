@@ -12,7 +12,6 @@ from v2x_loadcast.cli import dispatch
 from v2x_loadcast.errors import (
     BoundsError,
     ConfigError,
-    DegenerateSeries,
     GapError,
     MalformedRow,
     ShapeMismatch,
@@ -22,7 +21,6 @@ from v2x_loadcast.road import (
     SLOT_SECONDS,
     RoadSeries,
     _parse_timestamp,
-    correlation_report,
     parse_road_csv,
     serialize_road_csv,
     synthesize_road_series,
@@ -423,36 +421,3 @@ class TestExactText:
             "4102445400,2,60.0,2",
         ]
         assert lines[-1] == "4102530900,0,60.0,0"
-
-
-class TestCorrelationReport:
-    def test_perfect_anticorrelation(self):
-        k = np.arange(POINTS_PER_DAY)
-        mat = correlation_report(RoadSeries(k * SLOT_SECONDS, k % 200, 70.0 - 0.1 * (k % 200)))
-        assert mat.shape == (2, 2)
-        assert abs(mat[0, 1] - (-1.0)) < 1e-12
-
-    def test_constant_speed_degenerate(self):
-        k = np.arange(POINTS_PER_DAY)
-        with pytest.raises(DegenerateSeries):
-            correlation_report(RoadSeries(k * SLOT_SECONDS, k % 100, np.full(POINTS_PER_DAY, 60.0)))
-
-    def test_synthesized_flow_speed_entry_negative(self):
-        series = synthesize_road_series(20, 1)
-        mat = correlation_report(series)
-        flow = series.flows.astype(float)
-        speed = series.speeds
-        fc = flow - flow.mean()
-        sc = speed - speed.mean()
-        oracle = float((fc * sc).sum() / np.sqrt((fc**2).sum() * (sc**2).sum()))
-        assert mat[0, 1] < 0
-        assert mat[0, 1] == pytest.approx(oracle, abs=1e-12)
-
-    def test_three_by_three_with_calls(self):
-        series = synthesize_road_series(2, 4)
-        calls = np.arange(len(series), dtype=float) % 37
-        mat = correlation_report(series, calls)
-        assert mat.shape == (3, 3)
-        assert np.allclose(mat, mat.T)
-        assert np.all(np.diag(mat) == 1.0)
-        assert np.all((mat >= -1.0) & (mat <= 1.0))
