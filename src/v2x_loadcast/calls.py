@@ -24,9 +24,30 @@ entry offsets, `random(V)` handover flags (only if h > 0), `poisson(lam *
 dwell, V)` calls per vehicle (only if lam > 0), then `uniform(0, 1, C)`
 positions of each call within its vehicle's dwell. Vehicles are stored
 interval by interval, so per-vehicle values are `np.repeat`s of per-interval
-ones. The per-call stage runs in chunks of whole intervals holding about
-`CHUNK_CALLS` calls each, drawing that chunk's part of the last uniform
-stream, which bounds the memory held per call without changing any draw.
+ones.
+
+The generator is PCG64, and each `uniform` or `random` value is one 64-bit
+output, so a stage whose start is known can draw from its own copy of the
+generator advanced (`advance`, which is exact) to where that stage begins,
+on its own thread, and the draws stay the same. After `poisson(flows)` the
+work runs in two parallel stages, each on the calling thread and one helper
+thread that is joined before the stage ends:
+
+* vehicles: the calling thread draws the entry offsets, then the handover
+  flags; the helper draws the calls per vehicle from a copy advanced by V
+  outputs, or 2V when h > 0. Where that copy stops is where the per-call
+  uniforms begin.
+* calls: the chunks below are split into two contiguous halves (the second
+  is empty when there is one chunk). The calling thread draws the first
+  half's uniforms from the copy where the Poisson draws left it; the helper
+  draws the second half's from a copy of it advanced by the number of calls
+  before the second half's first interval. Each half bins into its own
+  per-slot counts, which are summed.
+
+Handover flags and Poisson draws run in blocks, and the per-call stage in
+chunks, of whole intervals holding about `CHUNK_CALLS` vehicles or calls:
+consecutive slices of one draw are that draw, so this bounds the memory held
+per vehicle and per call without changing any value.
 
 A call at instant t is binned on the series' 300-s grid (every timestamp
 lies on the grid of the first): k = floor((t - t0) / 300), lowered by one
@@ -40,6 +61,7 @@ timestamps[i] + delta`.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +71,7 @@ from .road import SLOT_SECONDS, RoadSeries
 
 DWELL_CAP_MIN = 60.0
 SPEED_FLOOR_MPH = 5.0
-CHUNK_CALLS = 1 << 20  # calls drawn and binned per chunk of whole intervals
+CHUNK_CALLS = 1 << 16  # calls, or vehicles, drawn per block of whole intervals
 MAX_LAM = 1000.0  # requests per minute per vehicle; the paper's rates are 0.2 and 0.6
 
 
@@ -128,11 +150,11 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interval_sums(values: np.ndarray, vehicles: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Per interval, the sum of `values` over its vehicles `first[i]:first[i + 1]`."""
-    sums = np.zeros(len(vehicles), dtype=np.int64)
-    occupied = vehicles > 0
-    sums[occupied] = np.add.reduceat(values, first[:-1][occupied], dtype=np.int64)
+def _interval_sums(values: np.ndarray, vehicles: np.ndarray, first: np.ndarray, a: int, b: int):
+    """Per interval of `a:b`, the sum over its own vehicles of `values`, one per vehicle of `a:b`."""
+    sums = np.zeros(b - a, dtype=np.int64)
+    occupied = vehicles[a:b] > 0
+    sums[occupied] = np.add.reduceat(values, (first[a:b] - first[a])[occupied], dtype=np.int64)
     return sums
 
 
@@ -171,6 +193,59 @@ class _SlotGrid:
         return k
 
 
+def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A new generator whose stream is `rng`'s from `draws` 64-bit outputs on; `rng` is untouched."""
+    bit_generator = type(rng.bit_generator)()
+    bit_generator.state = rng.bit_generator.state
+    bit_generator.advance(draws)
+    return np.random.Generator(bit_generator)
+
+
+def _on_two_threads(helper, own):
+    """`(helper(), own())`, with `helper` run on a second thread joined before this returns.
+
+    An exception raised on either thread reaches the caller.
+    """
+    done = {}
+
+    def target():
+        try:
+            done["value"] = helper()
+        except BaseException as exc:  # re-raised on the calling thread
+            done["error"] = exc
+
+    thread = threading.Thread(target=target, name="simulate_calls")
+    thread.start()
+    try:
+        mine = own()
+    finally:
+        thread.join()
+    if "error" in done:
+        raise done["error"]
+    return done["value"], mine
+
+
+def _blocks(before: np.ndarray) -> list[tuple[int, int]]:
+    """Runs `a:b` of whole intervals holding about CHUNK_CALLS items each, in order.
+
+    `before` is `_starts` of the per-interval item counts.
+    """
+    cuts = np.searchsorted(before, np.arange(CHUNK_CALLS, before[-1], CHUNK_CALLS))
+    edges = np.unique(np.concatenate(([0], cuts, [len(before) - 1]))).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _per_vehicle_calls(rng, means, vehicles, first, blocks):
+    """New calls per vehicle, Poisson with its interval's mean, and their per-interval sums."""
+    per_vehicle = np.empty(first[-1], dtype=np.int64)
+    per_interval = np.empty(len(vehicles), dtype=np.int64)
+    for a, b in blocks:
+        own = per_vehicle[first[a] : first[b]]
+        own[:] = rng.poisson(np.repeat(means[a:b], vehicles[a:b]))
+        per_interval[a:b] = _interval_sums(own, vehicles, first, a, b)
+    return per_vehicle, per_interval
+
+
 def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     """Draw one realization of the call process over the whole road series."""
     rng = np.random.default_rng(config.seed)
@@ -189,34 +264,52 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     if total_vehicles == 0:
         return CallSeries(counts, 0, zero_speed)
     first = _starts(vehicles)  # interval i holds vehicles first[i]:first[i + 1]
-    entry_offset = rng.uniform(0.0, delta, total_vehicles)
+    vehicle_blocks = _blocks(first)
+    handover = config.handover_prob > 0
 
-    if config.handover_prob > 0:
-        handed = rng.random(total_vehicles) < config.handover_prob
-        counts += _interval_sums(handed, vehicles, first)
+    def entries_and_handovers():
+        entry_abs = np.repeat(timestamps.astype(np.float64), vehicles)
+        entry_abs += rng.uniform(0.0, delta, total_vehicles)
+        if handover:
+            for a, b in vehicle_blocks:
+                handed = rng.random(first[b] - first[a]) < config.handover_prob
+                counts[a:b] += _interval_sums(handed, vehicles, first, a, b)
+        return entry_abs
 
-    if config.lam > 0:
-        per_vehicle = rng.poisson(np.repeat(config.lam * dwell_min, vehicles))
-        per_interval = _interval_sums(per_vehicle, vehicles, first)
-        calls_before = _starts(per_interval)
-        total_calls = int(calls_before[-1])
-        if total_calls:
-            grid = _SlotGrid(timestamps, delta)
-            hits = np.zeros(len(grid.point), dtype=np.int64)
-            entry_ts = timestamps.astype(np.float64)
-            dwell_s = dwell_min * 60.0
-            # Chunks of whole intervals with about CHUNK_CALLS calls each; the
-            # per-call uniforms are drawn chunk by chunk, which is the same stream.
-            cuts = np.searchsorted(calls_before, np.arange(CHUNK_CALLS, total_calls, CHUNK_CALLS))
-            edges = np.unique(np.concatenate(([0], cuts, [n])))
-            for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
-                calls = per_interval[a:b]
-                own = slice(first[a], first[b])  # the chunk's vehicles
-                call_abs = np.repeat(entry_ts[a:b], calls) + np.repeat(
-                    entry_offset[own], per_vehicle[own]
-                )
-                call_abs += rng.uniform(0.0, 1.0, len(call_abs)) * np.repeat(dwell_s[a:b], calls)
-                hits += np.bincount(grid.slots(call_abs), minlength=len(hits))
-            np.add.at(counts, grid.owner[1:], hits[1:])
+    if config.lam == 0:
+        entries_and_handovers()
+        return CallSeries(counts, total_vehicles, zero_speed)
 
+    # The Poisson stage starts after the entry offsets and the handover flags.
+    after = _jumped(rng, total_vehicles * (2 if handover else 1))
+    (per_vehicle, per_interval), entry_abs = _on_two_threads(
+        lambda: _per_vehicle_calls(after, config.lam * dwell_min, vehicles, first, vehicle_blocks),
+        entries_and_handovers,
+    )
+    calls_before = _starts(per_interval)
+    if calls_before[-1] == 0:
+        return CallSeries(counts, total_vehicles, zero_speed)
+
+    grid = _SlotGrid(timestamps, delta)
+    dwell_s = dwell_min * 60.0
+
+    def bin_calls(gen, chunks):
+        """Per grid slot, the calls of these chunks' vehicles, each uniform over its dwell."""
+        hits = np.zeros(len(grid.point), dtype=np.int64)
+        for a, b in chunks:
+            own = slice(first[a], first[b])  # the chunk's vehicles
+            call_abs = np.repeat(entry_abs[own], per_vehicle[own])
+            dwell = np.repeat(dwell_s[a:b], per_interval[a:b])
+            call_abs += gen.uniform(0.0, 1.0, len(call_abs)) * dwell
+            hits += np.bincount(grid.slots(call_abs), minlength=len(hits))
+        return hits
+
+    chunks = _blocks(calls_before)
+    half = (len(chunks) + 1) // 2  # the late half is empty when there is one chunk
+    late = _jumped(after, int(calls_before[chunks[half - 1][1]]))
+    late_hits, hits = _on_two_threads(
+        lambda: bin_calls(late, chunks[half:]), lambda: bin_calls(after, chunks[:half])
+    )
+    hits += late_hits
+    np.add.at(counts, grid.owner[1:], hits[1:])
     return CallSeries(counts, total_vehicles, zero_speed)

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .calls import ScenarioConfig, simulate_calls
 from .config import AppConfig
-from .errors import ConfigError, LoadcastError
+from .errors import ConfigError, LoadcastError, MalformedReport
 from .experiment import GridRow, comparison_table, run_scenario_grid
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, check_random_model
 from .rng import derive_int
@@ -178,38 +178,58 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+def _report_rows(payload: dict) -> list[str]:
+    """One CSV row per epoch of a JSON run report."""
+    return [
+        ",".join(
+            [
+                payload["scenario_id"],
+                _fmt(payload["lam"]),
+                _fmt(payload["handover_prob"]),
+                _fmt(payload["cell_range_miles"]),
+                payload["mode"],
+                str(payload["seed"]),
+                str(epoch),
+                _fmt(loss),
+                _fmt(mae),
+            ]
+        )
+        for epoch, (loss, mae) in enumerate(
+            zip(payload["train_losses"], payload["val_maes"]), start=1
+        )
+    ]
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.runs).glob("*.json"))
     if not paths:
         raise ConfigError(f"no JSON reports under {args.runs}")
     lines = ["scenario_id,lambda,h,range,mode,seed,epoch,train_loss,val_mae"]
     for path in paths:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        for epoch, (loss, mae) in enumerate(
-            zip(payload["train_losses"], payload["val_maes"]), start=1
-        ):
-            lines.append(
-                ",".join(
-                    [
-                        payload["scenario_id"],
-                        _fmt(payload["lam"]),
-                        _fmt(payload["handover_prob"]),
-                        _fmt(payload["cell_range_miles"]),
-                        payload["mode"],
-                        str(payload["seed"]),
-                        str(epoch),
-                        _fmt(loss),
-                        _fmt(mae),
-                    ]
-                )
-            )
+        try:
+            lines.extend(_report_rows(json.loads(path.read_text(encoding="utf-8"))))
+        except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a run report
+            raise MalformedReport(f"{path}: {type(exc).__name__}: {exc}") from None
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.out}: {len(lines) - 1} epoch rows from {len(paths)} run(s)")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad flag as a ConfigError, like any other bad value."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops a lone "--" value (`--days=--`) and stores [] unconverted.
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[-1]}: expected one argument, got '--'")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="v2x-loadcast",
         description="Synthetic V2X call traces and a recurrent next-interval load forecaster.",
     )
@@ -274,13 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 2

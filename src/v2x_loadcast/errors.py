@@ -13,6 +13,10 @@ class MalformedRow(LoadcastError):
     """A CSV row could not be parsed (bad numeric field, off-grid or duplicate timestamp)."""
 
 
+class MalformedReport(LoadcastError):
+    """A JSON run report could not be read: not JSON, or a field missing or of the wrong type."""
+
+
 class GapError(LoadcastError):
     """A 5-minute slot is missing from a day's road series."""
 
@@ -50,4 +54,4 @@ class ConfigError(LoadcastError, ValueError):
 
 
 class Diverged(LoadcastError):
-    """Training produced a non-finite epoch loss or validation MAE before any usable epoch."""
+    """Training diverged before a usable epoch: a loss or MAE not finite, or an MAE far too large."""

@@ -35,6 +35,7 @@ SPEED_MAX_MPH = 120.0
 FLOW_MAX_SYNTH = 600
 SPEED_FLOOR_SYNTH = 5.0
 SPEED_CEIL_SYNTH = 75.0
+MAX_SYNTH_DAYS = 36_525  # a century, about 10^7 intervals
 
 # Monday 2021-03-29 00:00:00 UTC; any 00:00-aligned epoch works.
 DEFAULT_START_EPOCH = 1_616_976_000
@@ -215,7 +216,8 @@ def parse_road_csv(
             raise ConfigError(f"column_map keys must be timestamp/flow/speed, got {sorted(unknown)}")
         names.update(column_map)
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    # An undecodable byte becomes U+FFFD, which no parsed field accepts.
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in names.values() if c not in header]
@@ -284,8 +286,8 @@ def synthesize_road_series(days: int, seed: int) -> RoadSeries:
     events (preferentially inside the peaks). Flow lands in [0, 600] veh/5min
     and speed in [5, 75] mph; at peak hours the two are negatively correlated.
     """
-    if days < 1:
-        raise ConfigError(f"days must be >= 1, got {days}")
+    if not 1 <= days <= MAX_SYNTH_DAYS:
+        raise ConfigError(f"days must be in [1, {MAX_SYNTH_DAYS}], got {days}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -52,6 +52,10 @@ class TrainingResult:
 
 
 EVAL_BATCH = 512  # windows per evaluation forward call
+# An epoch whose validation MAE is this many times the MAE of predicting zero
+# (about what the untrained network, whose output starts near zero, scores)
+# has diverged, even if every number is still finite.
+DIVERGED_MAE_RATIO = 1e3
 
 
 def evaluate_mae(params: ModelParameters, windows: WindowSet) -> float:
@@ -73,9 +77,11 @@ def train_forecaster(
 ) -> TrainingResult:
     """Train with RMSProp; keep the weights of the best validation epoch.
 
-    An epoch whose mean training loss or validation MAE is not finite raises
-    `Diverged` if no epoch has yet given a finite validation MAE, and otherwise
-    ends training with the best epoch's weights.
+    An epoch has diverged if its mean training loss or validation MAE is not
+    finite, or if its validation MAE exceeds DIVERGED_MAE_RATIO times the mean
+    absolute validation target. Such an epoch raises `Diverged` if no epoch
+    has yet been kept, and otherwise ends training with the best epoch's
+    weights.
     """
     if len(train) == 0 or len(val) == 0:
         raise InsufficientData("training and validation window sets must be non-empty")
@@ -86,6 +92,7 @@ def train_forecaster(
         params, config.learning_rate, config.rho, config.epsilon
     )
     result = TrainingResult(params.copy())
+    mae_limit = DIVERGED_MAE_RATIO * float(np.mean(np.abs(val.targets)))
     best_val = np.inf
     stale = 0
 
@@ -103,12 +110,14 @@ def train_forecaster(
         val_mae = evaluate_mae(params, val)
         result.val_maes.append(val_mae)
         result.epochs_run = epoch
-        if not (np.isfinite(train_loss) and np.isfinite(val_mae)):
+        if not (np.isfinite(train_loss) and np.isfinite(val_mae) and val_mae <= mae_limit):
             if result.best_epoch == 0:
+                over = f" > {mae_limit:.4g}, {DIVERGED_MAE_RATIO:g} times the MAE of predicting zero"
                 raise Diverged(
                     f"epoch {epoch}: mean training loss {train_loss}, validation MAE {val_mae}"
+                    + (over if val_mae > mae_limit else "")
                 )
-            break  # weights that are not finite stay so; keep the best epoch's
+            break  # a diverged epoch's weights stay so; keep the best epoch's
 
         if val_mae < best_val:
             best_val = val_mae

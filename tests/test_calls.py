@@ -1,3 +1,6 @@
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,7 +241,7 @@ class TestAgainstReference:
         cell_range=st.sampled_from([0.2, 1.5, 6.0]),
         delta_s=st.sampled_from([1, 60, 299, 300, 301, 450, 1000, 4000]),
         exact_flow=st.booleans(),
-        chunk=st.sampled_from([1, 7, 1 << 20]),
+        chunk=st.sampled_from([1, 2, 7, 1 << 16, 1 << 20]),
     )
     def test_counts_identical(
         self, seed, days, start, gaps, lam, handover, cell_range, delta_s, exact_flow, chunk
@@ -264,6 +267,30 @@ class TestAgainstReference:
             assert np.array_equal(got.counts, want.counts), k
             assert got.vehicles_total == want.vehicles_total
 
+    @pytest.mark.parametrize("parts", [1, 3, 5])
+    def test_one_chunk_or_an_odd_number(self, parts, monkeypatch):
+        # The per-call chunks are split into two halves, one per thread: one
+        # chunk leaves the second half empty, an odd number makes them unequal.
+        series = gapped_series(4, 2, 300, [3])
+        cfg = ScenarioConfig(0.4, 0.3, 1.5, 300, 9, False)
+        cut = calls_module._blocks
+        seen = []  # (items, blocks) per call of `_blocks`; the last cuts the calls
+
+        def recorded(before):
+            blocks = cut(before)
+            seen.append((int(before[-1]), len(blocks)))
+            return blocks
+
+        monkeypatch.setattr(calls_module, "_blocks", recorded)
+        simulate_calls(series, cfg)
+        total_calls = seen[-1][0]
+        monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_calls // parts))
+        got = simulate_calls(series, cfg)
+        assert seen[-1] == (total_calls, parts)
+        want = reference_simulate_calls(series, cfg)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.vehicles_total == want.vehicles_total
+
     @pytest.mark.parametrize("delta", [1.0, 300.0, 450.0, 4000.0])
     def test_slot_lookup_at_grid_points(self, delta):
         # Instants on and one ulp either side of every grid point, across a day
@@ -280,3 +307,35 @@ class TestAgainstReference:
         assert k.min() >= 0 and k.max() < len(grid.owner)
         assert np.array_equal(k != 0, inside)
         assert np.array_equal(grid.owner[k[inside]], idx[inside])
+
+
+class TestThreads:
+    """`simulate_calls` draws on a helper thread that never outlives the call."""
+
+    def test_no_thread_outlives_the_call(self):
+        series = synthesize_road_series(2, 4)
+        before = threading.active_count()
+        for scenario in table_scenarios():
+            simulate_calls(series, scenario)
+            assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_caller_with_the_thread_joined(self, monkeypatch):
+        def fail(*args):
+            assert threading.current_thread() is not threading.main_thread()
+            raise ZeroDivisionError("raised on the helper thread")
+
+        monkeypatch.setattr(calls_module, "_per_vehicle_calls", fail)
+        before = threading.active_count()
+        cfg = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5, seed=3)
+        with pytest.raises(ZeroDivisionError, match="helper thread"):
+            simulate_calls(steady_series(1, 40, 60.0), cfg)
+        assert threading.active_count() == before
+
+    def test_repeated_call_identical_over_many_chunks(self):
+        # Enough vehicles and calls for several blocks and chunks on each thread.
+        series = synthesize_road_series(10, 8)
+        cfg = replace(table_scenarios()[5], seed=12)
+        a, b = simulate_calls(series, cfg), simulate_calls(series, cfg)
+        assert a.counts.sum() > 8 * calls_module.CHUNK_CALLS
+        assert np.array_equal(a.counts, b.counts)
+        assert a.vehicles_total == b.vehicles_total

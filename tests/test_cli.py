@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 import v2x_loadcast
 from v2x_loadcast import cli
 from v2x_loadcast.calls import MAX_LAM
-from v2x_loadcast.cli import dispatch
+from v2x_loadcast.cli import build_parser, dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
+from v2x_loadcast.road import MAX_SYNTH_DAYS
 from v2x_loadcast.errors import ConfigError
 
 SMALL_RUN = """
@@ -180,6 +183,128 @@ class TestBadValues:
         assert captured.out == "" and not (tmp_path / "c.csv").exists()
 
 
+# Bad values per subcommand flag. A `<name>` value is a path from the
+# `bad_paths` fixture; every other flag of the command keeps a valid value.
+_NEGATIVE_INT = st.one_of(st.integers(max_value=-1).map(str), _NOT_AN_INT)
+_NOT_POSITIVE_FLOAT = st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT)
+_BAD_OUT = st.sampled_from(["<dir>", "<missing>/out.csv"])
+_BAD_ROAD = st.sampled_from(["<missing>", "<dir>", "<binary>", "<header_only>", "<report>"])
+BAD_FLAGS = {
+    "simulate": {
+        "--road": _BAD_ROAD,
+        "--lambda": st.one_of(_finite_floats(lambda x: not 0 <= x <= MAX_LAM), _NOT_A_FLOAT),
+        "--h": st.one_of(_finite_floats(lambda x: not 0 <= x <= 1), _NOT_A_FLOAT),
+        "--range": _NOT_POSITIVE_FLOAT,
+        "--delta": _NON_POSITIVE_INT,
+        "--seed": _NEGATIVE_INT,
+        "--out": _BAD_OUT,
+    },
+    "ingest": {
+        "--input": _BAD_ROAD,
+        "--impute": st.text(max_size=8).filter(lambda v: v != "hold"),
+        "--map": st.one_of(
+            st.text(min_size=1, max_size=12).filter(lambda v: "=" not in v),
+            st.from_regex(r"[a-z_]{1,10}=[a-z_]{0,6}", fullmatch=True).filter(
+                lambda v: v.split("=")[0] not in ("timestamp", "flow", "speed")
+            ),
+            st.sampled_from(["flow=volume", "speed=flow,flow=speed", "timestamp=flow"]),
+        ),
+        "--out": _BAD_OUT,
+    },
+    "synth": {
+        "--days": st.one_of(_NON_POSITIVE_INT, st.integers(min_value=MAX_SYNTH_DAYS + 1).map(str)),
+        "--seed": _NEGATIVE_INT,
+        "--out": _BAD_OUT,
+    },
+    "gradcheck": {
+        "--seeds": _NON_POSITIVE_INT,
+        "--step": _NOT_POSITIVE_FLOAT,
+        "--tolerance": _NOT_POSITIVE_FLOAT,
+    },
+    "report": {
+        "--runs": st.sampled_from(["<missing>", "<dir>", "<binary_report>", "<bad_json>",
+                                   "<list_report>", "<partial_report>", "<typed_report>"]),
+        "--out": _BAD_OUT,
+    },
+}
+_ERROR_LINE = re.compile(r"error: [A-Za-z]+: ")
+
+
+@pytest.fixture(scope="session")
+def bad_paths(tmp_path_factory, one_day_csv):
+    """Valid inputs for every flag, and the bad paths `BAD_FLAGS` names."""
+    root = tmp_path_factory.mktemp("flags")
+    good_runs = root / "runs"
+    good_runs.mkdir()
+    report = {"scenario_id": "s", "lam": 0.2, "handover_prob": 0.5, "cell_range_miles": 1.5,
+              "mode": "net", "seed": 1, "train_losses": [1.0], "val_maes": [0.5]}
+    (good_runs / "s.json").write_text(json.dumps(report))
+    bad_reports = {
+        "binary_report": b"\xff\xfe{",
+        "bad_json": b'{"scenario_id": ',
+        "list_report": b"[1, 2]",
+        "partial_report": json.dumps({k: report[k] for k in ("lam", "mode")}).encode(),
+        "typed_report": json.dumps({**report, "mode": 3, "train_losses": 7}).encode(),
+    }
+    paths = {"<dir>": str(root / "dir"), "<missing>": str(root / "missing"),
+             "<good_runs>": str(good_runs), "<good_out>": str(root / "out.csv"),
+             "<road>": str(one_day_csv)}
+    (root / "dir").mkdir()
+    for name, payload in bad_reports.items():
+        (root / name).mkdir()
+        (root / name / "r.json").write_bytes(payload)
+        paths[f"<{name}>"] = str(root / name)
+    for name, payload in [("binary", b"\xff\xfetimestamp,flow\n\x80,1\n"),
+                          ("header_only", b"timestamp,flow,speed\n"),
+                          ("report", json.dumps(report).encode())]:
+        (root / name).write_bytes(payload)
+        paths[f"<{name}>"] = str(root / name)
+    return paths
+
+
+GOOD_FLAGS = {
+    "simulate": {"--road": "<road>", "--lambda": "0.2", "--h": "0.5", "--range": "1.5",
+                 "--out": "<good_out>"},
+    "ingest": {"--input": "<road>"},
+    "synth": {"--days": "1", "--out": "<good_out>"},
+    "gradcheck": {"--seeds": "1"},
+    "report": {"--runs": "<good_runs>", "--out": "<good_out>"},
+}
+
+
+def _value_flags(command: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[-1] for a in sub.choices[command]._actions
+            if a.option_strings and a.nargs != 0}
+
+
+class TestBadFlags:
+    def test_every_value_flag_has_bad_values(self):
+        for command, flags in BAD_FLAGS.items():
+            assert set(flags) == _value_flags(command), command
+
+    @pytest.mark.parametrize("command", sorted(GOOD_FLAGS))
+    def test_good_flags_succeed(self, command, bad_paths, capsys):
+        argv = [f"{flag}={bad_paths.get(v, v)}" for flag, v in GOOD_FLAGS[command].items()]
+        assert dispatch([command, *argv]) == 0, capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(*(
+        st.tuples(st.just(command), st.just(flag), values)
+        for command, flags in BAD_FLAGS.items() for flag, values in flags.items()
+    )))
+    def test_bad_flag_is_one_error_line(self, bad_paths, case):
+        command, flag, value = case
+        argv = {**GOOD_FLAGS[command], flag: value}
+        argv = [f"{f}={bad_paths.get(v, v)}" for f, v in argv.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = dispatch([command, *argv])
+        lines = err.getvalue().splitlines()
+        assert code in (1, 2) and len(lines) == 1 and _ERROR_LINE.match(lines[0]), (argv, lines)
+        assert lines[0].startswith("error: ConfigError:") == (code == 2), lines
+
+
 class TestDispatch:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
@@ -330,6 +455,17 @@ class TestDispatch:
         assert len(err) == 1, err
         assert err[0].startswith("error: Diverged: epoch 1: mean training loss "), err
         assert (out / "metrics.csv").read_text().count("\n") == 1  # the header alone
+
+    def test_finite_blow_up_prints_one_diverged_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_RUN + "learning_rate = 1e100\n")
+        out = tmp_path / "o"
+        assert dispatch(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Diverged: epoch 1: "), err
+        assert "times the MAE of predicting zero" in err[0]
+        assert (out / "metrics.csv").read_text().count("\n") == 1  # the header alone
+        assert max(map(len, captured.out.splitlines())) < 100  # no 100-digit table cell
 
     def test_gradcheck_passes(self, capsys):
         assert dispatch(["gradcheck", "--seeds", "4"]) == 0

@@ -156,6 +156,33 @@ def test_late_divergence_keeps_best_epoch(cell, monkeypatch):
     assert np.array_equal(result.params.flat, first.params.flat)
 
 
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_finite_blow_up_raises_diverged(cell):
+    # A step this large leaves every number finite but about 1e100 too big.
+    train = last_value_windows(240, 6, seed=1)
+    val = last_value_windows(60, 6, seed=2)
+    config = TrainingConfig(cell=cell, hidden_size=8, max_epochs=3, learning_rate=1e100)
+    limit = training.DIVERGED_MAE_RATIO * np.mean(np.abs(val.targets))
+    message = r"epoch 1: .* > [0-9.]+, 1000 times the MAE of predicting zero$"
+    with pytest.raises(Diverged, match=message) as caught:
+        train_forecaster(train, val, config, np.random.default_rng(5))
+    mae = float(str(caught.value).split("validation MAE ")[1].split(" ")[0])
+    assert limit < mae < np.inf
+
+
+def test_late_finite_blow_up_keeps_best_epoch(monkeypatch):
+    train = last_value_windows(240, 6, seed=1)
+    val = last_value_windows(60, 6, seed=2)
+    config = TrainingConfig(hidden_size=8, max_epochs=6, patience=3)
+    first = train_forecaster(train, val, replace(config, max_epochs=1), np.random.default_rng(5))
+    limit = training.DIVERGED_MAE_RATIO * np.mean(np.abs(val.targets))
+    maes = iter([first.val_maes[0], 1.01 * limit])
+    monkeypatch.setattr(training, "evaluate_mae", lambda params, windows: next(maes))
+    result = train_forecaster(train, val, config, np.random.default_rng(5))
+    assert result.best_epoch == 1 and result.epochs_run == 2
+    assert np.array_equal(result.params.flat, first.params.flat)
+
+
 @pytest.mark.parametrize("field, value", [
     ("cell", "rnn"),
     ("hidden_size", 0),
