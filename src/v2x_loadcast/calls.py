@@ -27,27 +27,31 @@ interval by interval, so per-vehicle values are `np.repeat`s of per-interval
 ones.
 
 The generator is PCG64, and each `uniform` or `random` value is one 64-bit
-output, so a stage whose start is known can draw from its own copy of the
-generator advanced (`advance`, which is exact) to where that stage begins,
-on its own thread, and the draws stay the same. After `poisson(flows)` the
-work runs in two parallel stages, each on the calling thread and one helper
-thread that is joined before the stage ends:
+output. So after `poisson(flows)` every stream position is known except
+inside the Poisson draws, whose length varies: the V entry offsets start at
+0, the V handover flags at V, the Poisson draws at V (or 2V when h > 0) and
+the per-call uniforms where the Poisson draws stop. Each part draws from its
+own copy of the generator advanced (`advance`, which is exact) to where it
+begins, on its own thread, and the draws stay the same. The work runs in two
+parallel stages, each on the calling thread and one helper thread that is
+joined before the stage ends:
 
-* vehicles: the calling thread draws the entry offsets, then the handover
-  flags; the helper draws the calls per vehicle from a copy advanced by V
-  outputs, or 2V when h > 0. Where that copy stops is where the per-call
-  uniforms begin.
+* vehicles: the helper draws the calls per vehicle, the calling thread the
+  handover flags (only if h > 0). The entry offsets are not drawn here.
 * calls: the chunks below are split into two contiguous halves (the second
-  is empty when there is one chunk). The calling thread draws the first
-  half's uniforms from the copy where the Poisson draws left it; the helper
-  draws the second half's from a copy of it advanced by the number of calls
-  before the second half's first interval. Each half bins into its own
-  per-slot counts, which are summed.
+  is empty when there is one chunk). For each chunk a thread draws its
+  vehicles' entry offsets, then the uniforms of their calls. The calling
+  thread takes the first half, with the entry offsets from the start and the
+  uniforms from where the Poisson draws stopped; the helper takes the
+  second, from copies advanced by the vehicles and by the calls before its
+  first interval. Each half bins into its own per-slot counts, which are
+  summed.
 
-Handover flags and Poisson draws run in blocks, and the per-call stage in
-chunks, of whole intervals holding about `CHUNK_CALLS` vehicles or calls:
-consecutive slices of one draw are that draw, so this bounds the memory held
-per vehicle and per call without changing any value.
+Handover flags and Poisson draws run in blocks of whole intervals holding
+about `CHUNK_CALLS` vehicles, and the per-call stage in chunks holding about
+`CHUNK_CALLS` calls: consecutive slices of one draw are that draw, so this
+bounds the work arrays without changing any value. What is held across the
+stages per vehicle is its call count, 4 bytes.
 
 A call at instant t is binned on the series' 300-s grid (every timestamp
 lies on the grid of the first): k = floor((t - t0) / 300), lowered by one
@@ -236,8 +240,13 @@ def _blocks(before: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _per_vehicle_calls(rng, means, vehicles, first, blocks):
-    """New calls per vehicle, Poisson with its interval's mean, and their per-interval sums."""
-    per_vehicle = np.empty(first[-1], dtype=np.int64)
+    """New calls per vehicle, Poisson with its interval's mean, and their per-interval sums.
+
+    The per-vehicle counts are int32: a mean is at most MAX_LAM * DWELL_CAP_MIN
+    = 60 000, so a draw that reached 2^31 would lie millions of standard
+    deviations above it.
+    """
+    per_vehicle = np.empty(first[-1], dtype=np.int32)
     per_interval = np.empty(len(vehicles), dtype=np.int64)
     for a, b in blocks:
         own = per_vehicle[first[a] : first[b]]
@@ -267,24 +276,23 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     vehicle_blocks = _blocks(first)
     handover = config.handover_prob > 0
 
-    def entries_and_handovers():
-        entry_abs = np.repeat(timestamps.astype(np.float64), vehicles)
-        entry_abs += rng.uniform(0.0, delta, total_vehicles)
+    def handovers():
+        # `rng` stays where the entry offsets begin; the flags follow them.
         if handover:
+            flags = _jumped(rng, total_vehicles)
             for a, b in vehicle_blocks:
-                handed = rng.random(first[b] - first[a]) < config.handover_prob
+                handed = flags.random(first[b] - first[a]) < config.handover_prob
                 counts[a:b] += _interval_sums(handed, vehicles, first, a, b)
-        return entry_abs
 
     if config.lam == 0:
-        entries_and_handovers()
+        handovers()
         return CallSeries(counts, total_vehicles, zero_speed)
 
     # The Poisson stage starts after the entry offsets and the handover flags.
     after = _jumped(rng, total_vehicles * (2 if handover else 1))
-    (per_vehicle, per_interval), entry_abs = _on_two_threads(
+    (per_vehicle, per_interval), _ = _on_two_threads(
         lambda: _per_vehicle_calls(after, config.lam * dwell_min, vehicles, first, vehicle_blocks),
-        entries_and_handovers,
+        handovers,
     )
     calls_before = _starts(per_interval)
     if calls_before[-1] == 0:
@@ -293,12 +301,16 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     grid = _SlotGrid(timestamps, delta)
     dwell_s = dwell_min * 60.0
 
-    def bin_calls(gen, chunks):
-        """Per grid slot, the calls of these chunks' vehicles, each uniform over its dwell."""
+    def bin_calls(entries, gen, chunks):
+        """Per grid slot, the calls of these chunks' vehicles, each uniform over its dwell.
+
+        `entries` draws the chunks' entry offsets and `gen` their calls' positions.
+        """
         hits = np.zeros(len(grid.point), dtype=np.int64)
         for a, b in chunks:
-            own = slice(first[a], first[b])  # the chunk's vehicles
-            call_abs = np.repeat(entry_abs[own], per_vehicle[own])
+            entry_abs = np.repeat(timestamps[a:b].astype(np.float64), vehicles[a:b])
+            entry_abs += entries.uniform(0.0, delta, len(entry_abs))
+            call_abs = np.repeat(entry_abs, per_vehicle[first[a] : first[b]])
             dwell = np.repeat(dwell_s[a:b], per_interval[a:b])
             call_abs += gen.uniform(0.0, 1.0, len(call_abs)) * dwell
             hits += np.bincount(grid.slots(call_abs), minlength=len(hits))
@@ -306,9 +318,10 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
 
     chunks = _blocks(calls_before)
     half = (len(chunks) + 1) // 2  # the late half is empty when there is one chunk
-    late = _jumped(after, int(calls_before[chunks[half - 1][1]]))
+    cut = chunks[half - 1][1]  # the late half's first interval
+    late = _jumped(rng, int(first[cut])), _jumped(after, int(calls_before[cut]))
     late_hits, hits = _on_two_threads(
-        lambda: bin_calls(late, chunks[half:]), lambda: bin_calls(after, chunks[:half])
+        lambda: bin_calls(*late, chunks[half:]), lambda: bin_calls(rng, after, chunks[:half])
     )
     hits += late_hits
     np.add.at(counts, grid.owner[1:], hits[1:])

@@ -24,6 +24,7 @@ from .rng import derive_int
 from .road import parse_road_csv, serialize_road_csv, synthesize_road_series
 
 METRICS_HEADER = "scenario_id,lambda,h,range,mode,seed,test_mae,val_mae,epochs"
+MAX_GRADCHECK_SEEDS = 100_000  # a few minutes of checks; a larger count is a typo
 
 
 def _fmt(value) -> str:
@@ -156,8 +157,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if not 1 <= args.seeds <= MAX_GRADCHECK_SEEDS:
+        raise ConfigError(f"--seeds must be in [1, {MAX_GRADCHECK_SEEDS}], got {args.seeds}")
     for flag in ("step", "tolerance"):
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import steady_series
 from reference_calls import reference_simulate_calls
 from v2x_loadcast import calls as calls_module
 from v2x_loadcast.calls import (
+    MAX_LAM,
     CallSeries,
     ScenarioConfig,
     _SlotGrid,
@@ -291,6 +293,60 @@ class TestAgainstReference:
         assert np.array_equal(got.counts, want.counts)
         assert got.vehicles_total == want.vehicles_total
 
+    def test_second_half_entry_offsets_start_mid_series(self, monkeypatch):
+        # Fast vehicles with few calls, then slow ones with many: cut in two
+        # chunks, the second half starts mid-series with about twice as many
+        # vehicles before it as calls, so its entry offsets and its call
+        # positions start at different points of the stream.
+        n = POINTS_PER_DAY
+        speeds = np.where(np.arange(n) < n // 2, 90.0, 10.0)
+        series = RoadSeries(SLOT_SECONDS * np.arange(n), np.full(n, 6), speeds)
+        cfg = ScenarioConfig(0.4, 0.3, 0.5, 300, 8, exact_flow=True)
+        cut = calls_module._blocks
+        seen = []  # (items, blocks) per call of `_blocks`; the last cuts the calls
+
+        def recorded(before):
+            blocks = cut(before)
+            seen.append((before, blocks))
+            return blocks
+
+        monkeypatch.setattr(calls_module, "_blocks", recorded)
+        simulate_calls(series, cfg)
+        total_calls = int(seen[-1][0][-1])
+        monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_calls // 2))
+        got = simulate_calls(series, cfg)
+        calls_before, chunks = seen[-1]
+        assert len(chunks) == 2
+        middle = chunks[1][0]
+        assert n // 2 < middle < n and 6 * middle > 1.5 * calls_before[middle]
+        want = reference_simulate_calls(series, cfg)
+        assert np.array_equal(got.counts, want.counts)
+
+    def test_largest_per_vehicle_mean(self, monkeypatch):
+        # MAX_LAM over a dwell capped at 60 min at the 5 mph floor: a Poisson
+        # mean of 60 000 calls per vehicle, past the int16 range.
+        flows = np.zeros(POINTS_PER_DAY, dtype=np.int64)
+        flows[::48] = 2
+        series = RoadSeries(SLOT_SECONDS * np.arange(POINTS_PER_DAY), flows,
+                            np.full(POINTS_PER_DAY, 3.0))
+        cfg = ScenarioConfig(MAX_LAM, 0.5, 5.0, 300, 6, exact_flow=True)
+        assert dwell_minutes(3.0, 5.0) == 60.0
+        draw = calls_module._per_vehicle_calls
+        stored = []
+
+        def recorded(*args):
+            result = draw(*args)
+            stored.append(result[0])
+            return result
+
+        monkeypatch.setattr(calls_module, "_per_vehicle_calls", recorded)
+        got = simulate_calls(series, cfg)
+        assert stored[0].dtype == np.int32 and len(stored[0]) == 12
+        assert stored[0].min() > 2**15
+        want = reference_simulate_calls(series, cfg)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.counts.sum() > 12 * 2**15
+
     @pytest.mark.parametrize("delta", [1.0, 300.0, 450.0, 4000.0])
     def test_slot_lookup_at_grid_points(self, delta):
         # Instants on and one ulp either side of every grid point, across a day
@@ -339,3 +395,22 @@ class TestThreads:
         assert a.counts.sum() > 8 * calls_module.CHUNK_CALLS
         assert np.array_equal(a.counts, b.counts)
         assert a.vehicles_total == b.vehicles_total
+
+
+class TestMemory:
+    """Peak memory `simulate_calls` holds per vehicle, as `tracemalloc` traces it."""
+
+    @pytest.mark.parametrize("lam, bound", [(0.6, 16.0), (0.0, 2.0)])
+    def test_traced_peak_per_vehicle(self, lam, bound):
+        # A 4-byte count per vehicle and chunk-sized work arrays; with lam = 0
+        # only blocks of handover flags.
+        series = synthesize_road_series(20, 1)
+        cfg = ScenarioConfig(lam=lam, handover_prob=0.5, cell_range_miles=1.5, seed=4)
+        tracemalloc.start()
+        try:
+            calls = simulate_calls(series, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls.vehicles_total > 10**6
+        assert peak / calls.vehicles_total < bound

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import v2x_loadcast
 from v2x_loadcast import cli
 from v2x_loadcast.calls import MAX_LAM
-from v2x_loadcast.cli import build_parser, dispatch
+from v2x_loadcast.cli import MAX_GRADCHECK_SEEDS, build_parser, dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
 from v2x_loadcast.road import MAX_SYNTH_DAYS
 from v2x_loadcast.errors import ConfigError
@@ -217,7 +217,9 @@ BAD_FLAGS = {
         "--out": _BAD_OUT,
     },
     "gradcheck": {
-        "--seeds": _NON_POSITIVE_INT,
+        "--seeds": st.one_of(
+            _NON_POSITIVE_INT, st.integers(min_value=MAX_GRADCHECK_SEEDS + 1).map(str)
+        ),
         "--step": _NOT_POSITIVE_FLOAT,
         "--tolerance": _NOT_POSITIVE_FLOAT,
     },
