@@ -229,6 +229,27 @@ def gapped_series(seed: int, days: int, start: int, gaps: list[int]) -> RoadSeri
     return RoadSeries(start + SLOT_SECONDS * slots, flows, speeds)
 
 
+def simulate_in_chunks(series, config, parts, monkeypatch):
+    """`simulate_calls` with `CHUNK_CALLS` set to cut its calls into about `parts` chunks.
+
+    Returns the result, the calls before each interval and the chunks cut.
+    """
+    cut = calls_module._blocks
+    seen = []  # (items before each interval, blocks) per call of `_blocks`
+
+    def recorded(before):
+        seen.append((before, cut(before)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(calls_module, "_blocks", recorded)
+    simulate_calls(series, config)
+    total_calls = int(seen[-1][0][-1])  # the last call of `_blocks` cuts the calls
+    monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_calls // parts))
+    got = simulate_calls(series, config)
+    assert seen[-1][0][-1] == total_calls
+    return (got, *seen[-1])
+
+
 class TestAgainstReference:
     """`simulate_calls` against the gather-and-searchsorted oracle: identical counts."""
 
@@ -275,20 +296,8 @@ class TestAgainstReference:
         # chunk leaves the second half empty, an odd number makes them unequal.
         series = gapped_series(4, 2, 300, [3])
         cfg = ScenarioConfig(0.4, 0.3, 1.5, 300, 9, False)
-        cut = calls_module._blocks
-        seen = []  # (items, blocks) per call of `_blocks`; the last cuts the calls
-
-        def recorded(before):
-            blocks = cut(before)
-            seen.append((int(before[-1]), len(blocks)))
-            return blocks
-
-        monkeypatch.setattr(calls_module, "_blocks", recorded)
-        simulate_calls(series, cfg)
-        total_calls = seen[-1][0]
-        monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_calls // parts))
-        got = simulate_calls(series, cfg)
-        assert seen[-1] == (total_calls, parts)
+        got, _, chunks = simulate_in_chunks(series, cfg, parts, monkeypatch)
+        assert len(chunks) == parts
         want = reference_simulate_calls(series, cfg)
         assert np.array_equal(got.counts, want.counts)
         assert got.vehicles_total == want.vehicles_total
@@ -302,20 +311,7 @@ class TestAgainstReference:
         speeds = np.where(np.arange(n) < n // 2, 90.0, 10.0)
         series = RoadSeries(SLOT_SECONDS * np.arange(n), np.full(n, 6), speeds)
         cfg = ScenarioConfig(0.4, 0.3, 0.5, 300, 8, exact_flow=True)
-        cut = calls_module._blocks
-        seen = []  # (items, blocks) per call of `_blocks`; the last cuts the calls
-
-        def recorded(before):
-            blocks = cut(before)
-            seen.append((before, blocks))
-            return blocks
-
-        monkeypatch.setattr(calls_module, "_blocks", recorded)
-        simulate_calls(series, cfg)
-        total_calls = int(seen[-1][0][-1])
-        monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_calls // 2))
-        got = simulate_calls(series, cfg)
-        calls_before, chunks = seen[-1]
+        got, calls_before, chunks = simulate_in_chunks(series, cfg, 2, monkeypatch)
         assert len(chunks) == 2
         middle = chunks[1][0]
         assert n // 2 < middle < n and 6 * middle > 1.5 * calls_before[middle]
