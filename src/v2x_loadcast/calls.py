@@ -19,7 +19,7 @@ speed s:
 
 The whole simulation is a pure function of (series, config): one seeded
 generator drives every draw, in this order and these sizes (V vehicles,
-C calls): `poisson(flows)` (skipped with `exact_flow`), `uniform(0, delta, V)`
+C calls): `poisson(flows)` (skipped with `exact_flow`), `uniform(0, 300, V)`
 entry offsets, `random(V)` handover flags (only if h > 0), `poisson(lam *
 dwell, V)` calls per vehicle (only if lam > 0), then `uniform(0, 1, C)`
 positions of each call within its vehicle's dwell. Vehicles are stored
@@ -54,19 +54,21 @@ bounds the work arrays without changing any value. What is held across the
 stages per vehicle is its call count, 4 bytes.
 
 A call at instant t is binned on the series' 300-s grid (every timestamp
-lies on the grid of the first): k = floor((t - t0) / 300), lowered by one
-where an exact comparison puts t before grid point k, names the last
-interval i at or before that point, and the call counts there if
-t < timestamps[i] + delta. This is the rule `searchsorted(timestamps, t,
-"right") - 1`, clipped to the series, then `timestamps[i] <= t <
-timestamps[i] + delta`.
+lies on the grid of the first, t0): its slot is k = floor((t - t0) / 300),
+capped at the slot just past the last interval, and it counts in the
+interval whose timestamp is t0 + 300 k, if there is one. Slots inside a day
+gap and the one past the end name no interval, so calls there are dropped.
+This is the rule `searchsorted(timestamps, t, "right") - 1`, clipped to the
+series, then `timestamps[i] <= t < timestamps[i] + 300`. Every instant is
+at or after t0: an entry lies at or after its interval's start, and a call
+at or after its vehicle's entry.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -83,15 +85,18 @@ MAX_LAM = 1000.0  # requests per minute per vehicle; the paper's rates are 0.2 a
 class ScenarioConfig:
     """Stochastic-model and cell parameters for one scenario.
 
-    `lam` lies in [0, MAX_LAM]: a thousand requests per minute per vehicle,
-    over a thousand times the paper's rates, keeps each vehicle's Poisson
-    mean (lam times a dwell of at most 60 min) far inside what numpy draws.
+    Calls are counted in the road's own 5-minute intervals (`SLOT_SECONDS`),
+    so the interval length is not a parameter. `lam` lies in [0, MAX_LAM]: a
+    thousand requests per minute per vehicle, over a thousand times the
+    paper's rates, keeps each vehicle's Poisson mean (lam times a dwell of at
+    most 60 min) far inside what numpy draws. `seed` and `exact_flow` are
+    keyword-only.
     """
 
     lam: float  # new service requests per minute per vehicle
     handover_prob: float
     cell_range_miles: float
-    delta_s: int = 300
+    _: KW_ONLY
     seed: int = 0
     exact_flow: bool = False
 
@@ -103,8 +108,6 @@ class ScenarioConfig:
             raise ConfigError(f"handover_prob {self.handover_prob} outside [0, 1]")
         if not 0.0 < self.cell_range_miles < math.inf:
             raise ConfigError(f"cell_range_miles must be finite and > 0, got {self.cell_range_miles}")
-        if self.delta_s <= 0:
-            raise ConfigError(f"delta_s {self.delta_s} <= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -163,37 +166,26 @@ def _interval_sums(values: np.ndarray, vehicles: np.ndarray, first: np.ndarray, 
 
 
 class _SlotGrid:
-    """Exact interval lookup for instants on a series whose timestamps share one 300-s grid.
+    """Exact slot lookup for instants on a series whose timestamps share one 300-s grid.
 
-    Arrays are indexed by grid point + 1 over the points -1 .. K+1, where K
-    is the last timestamp's point: `point` is the point's instant, `owner`
-    the last interval at or before it and `end` that interval's end
-    (timestamp + delta; -inf at point -1, so nothing is counted there).
+    Slot k starts at `t0 + 300 k`; `interval_slot` is each interval's slot
+    and `top` the slot just past the last interval.
     """
 
-    def __init__(self, timestamps: np.ndarray, delta: float):
-        self.base = float(timestamps[0] - SLOT_SECONDS)
-        self.top = (int(timestamps[-1]) - int(timestamps[0])) // SLOT_SECONDS + 2
-        points = timestamps[0] + SLOT_SECONDS * np.arange(-1, self.top)
-        self.point = points.astype(np.float64)
-        self.owner = np.maximum(np.searchsorted(timestamps, points, side="right") - 1, 0)
-        self.end = timestamps[self.owner] + delta
-        self.end[0] = -np.inf
+    def __init__(self, timestamps: np.ndarray):
+        self.t0 = int(timestamps[0])
+        self.interval_slot = (timestamps - self.t0) // SLOT_SECONDS
+        self.top = int(self.interval_slot[-1]) + 1
 
     def slots(self, instants: np.ndarray) -> np.ndarray:
-        """Index of the grid point at or before each instant, 0 where no interval covers it.
-
-        The rule is `searchsorted(timestamps, t, "right") - 1` clipped to the
-        series, then kept only if `timestamps[i] <= t < timestamps[i] + delta`.
-        """
-        # Grid offsets are exact integers and rounding is monotone, so the
-        # quotient is never below the true point; next to a point it can be
-        # one above, which one exact comparison with that point undoes.
-        x = (instants - self.base) / SLOT_SECONDS
-        np.clip(x, 1.0, self.top, out=x)
+        """The slot of each instant, capped at `top`; every instant must be >= t0."""
+        # Slot starts are exact integers and rounding is monotone, so the
+        # quotient is never below the true slot; next to a slot start it can
+        # be one above, which one exact comparison with that start undoes.
+        x = (instants - self.t0) / SLOT_SECONDS
+        np.minimum(x, self.top, out=x)
         k = x.astype(np.intp)
-        k -= instants < self.point[k]
-        k *= instants < self.end[k]
+        k -= instants < self.t0 + SLOT_SECONDS * k
         return k
 
 
@@ -239,14 +231,14 @@ def _blocks(before: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _per_vehicle_calls(rng, means, vehicles, first, blocks):
+def _per_vehicle_calls(rng, means, vehicles, first, blocks, per_vehicle):
     """New calls per vehicle, Poisson with its interval's mean, and their per-interval sums.
 
-    The per-vehicle counts are int32: a mean is at most MAX_LAM * DWELL_CAP_MIN
-    = 60 000, so a draw that reached 2^31 would lie millions of standard
-    deviations above it.
+    The draws fill `per_vehicle`, which is returned with the sums. Its
+    counts are int32: a mean is at most MAX_LAM * DWELL_CAP_MIN = 60 000, so
+    a draw that reached 2^31 would lie millions of standard deviations above
+    it.
     """
-    per_vehicle = np.empty(first[-1], dtype=np.int32)
     per_interval = np.empty(len(vehicles), dtype=np.int64)
     for a, b in blocks:
         own = per_vehicle[first[a] : first[b]]
@@ -262,7 +254,6 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     flows = series.flows
     speeds = series.speeds
     timestamps = series.timestamps
-    delta = float(config.delta_s)
 
     zero_speed = int(np.count_nonzero((speeds == 0.0) & (flows > 0)))
     dwell_min = dwell_minutes(speeds, config.cell_range_miles)  # per interval
@@ -290,15 +281,21 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
 
     # The Poisson stage starts after the entry offsets and the handover flags.
     after = _jumped(rng, total_vehicles * (2 if handover else 1))
+    # Allocated here, not on the helper: in the helper thread's malloc arena a
+    # freed block of this size was often not reused by the next, slightly
+    # larger one, so repeated calls paged in a second copy of it.
+    per_vehicle = np.empty(total_vehicles, dtype=np.int32)
     (per_vehicle, per_interval), _ = _on_two_threads(
-        lambda: _per_vehicle_calls(after, config.lam * dwell_min, vehicles, first, vehicle_blocks),
+        lambda: _per_vehicle_calls(
+            after, config.lam * dwell_min, vehicles, first, vehicle_blocks, per_vehicle
+        ),
         handovers,
     )
     calls_before = _starts(per_interval)
     if calls_before[-1] == 0:
         return CallSeries(counts, total_vehicles, zero_speed)
 
-    grid = _SlotGrid(timestamps, delta)
+    grid = _SlotGrid(timestamps)
     dwell_s = dwell_min * 60.0
 
     def bin_calls(entries, gen, chunks):
@@ -306,10 +303,10 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
 
         `entries` draws the chunks' entry offsets and `gen` their calls' positions.
         """
-        hits = np.zeros(len(grid.point), dtype=np.int64)
+        hits = np.zeros(grid.top + 1, dtype=np.int64)
         for a, b in chunks:
             entry_abs = np.repeat(timestamps[a:b].astype(np.float64), vehicles[a:b])
-            entry_abs += entries.uniform(0.0, delta, len(entry_abs))
+            entry_abs += entries.uniform(0.0, SLOT_SECONDS, len(entry_abs))
             call_abs = np.repeat(entry_abs, per_vehicle[first[a] : first[b]])
             dwell = np.repeat(dwell_s[a:b], per_interval[a:b])
             call_abs += gen.uniform(0.0, 1.0, len(call_abs)) * dwell
@@ -324,5 +321,5 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
         lambda: bin_calls(*late, chunks[half:]), lambda: bin_calls(rng, after, chunks[:half])
     )
     hits += late_hits
-    np.add.at(counts, grid.owner[1:], hits[1:])
+    counts += hits[grid.interval_slot]
     return CallSeries(counts, total_vehicles, zero_speed)

@@ -86,7 +86,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lam=args.lam,
         handover_prob=args.handover,
         cell_range_miles=args.range,
-        delta_s=args.delta,
         seed=args.seed,
         exact_flow=args.exact_flow,
     )
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", dest="handover", type=float, required=True,
                    help="handover probability in [0, 1]")
     p.add_argument("--range", type=float, required=True, help="cell range, miles")
-    p.add_argument("--delta", type=int, default=300, help="interval length, seconds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact-flow", action="store_true",
                    help="place exactly the measured flow instead of a Poisson count")

@@ -47,7 +47,6 @@ class AppConfig:
     lambda_per_min: float = 0.2
     handover_prob: float = 0.5
     cell_range_miles: float = 1.5
-    delta_s: int = ScenarioConfig.delta_s
     exact_flow: bool = ScenarioConfig.exact_flow
     feature_mode: str = "both"  # net | net_road | both
     window: int = ExperimentSpec.window
@@ -86,10 +85,10 @@ class AppConfig:
     def specs(self, table: bool) -> list[ExperimentSpec]:
         """The run's specs: the configured scenario, or with `table` the seven built-in ones."""
         if table:
-            scenarios = table_scenarios(self.delta_s, self.exact_flow)
+            scenarios = table_scenarios(exact_flow=self.exact_flow)
         else:
             scenarios = [ScenarioConfig(self.lambda_per_min, self.handover_prob, self.cell_range_miles,
-                                        self.delta_s, exact_flow=self.exact_flow)]
+                                        exact_flow=self.exact_flow)]
         modes = FEATURE_MODES if self.feature_mode == "both" else (self.feature_mode,)
         training = TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})
         return grid_specs(scenarios, self.seeds, modes, window=self.window, horizon=self.horizon,

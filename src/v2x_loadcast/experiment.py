@@ -31,7 +31,7 @@ from .features import (
 )
 from .metrics import metric_mae
 from .rng import derive_int, derive_rng
-from .road import POINTS_PER_DAY, RoadSeries
+from .road import POINTS_PER_DAY, SLOT_SECONDS, RoadSeries
 from .training import TrainingConfig, TrainingResult, evaluate_mae, train_forecaster
 
 THREADS_ENV = "V2X_LOADCAST_THREADS"  # caps grid worker processes
@@ -286,12 +286,10 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
     return [_grid_row(s, road) for s in specs]
 
 
-def table_scenarios(
-    delta_s: int = 300, exact_flow: bool = False
-) -> list[ScenarioConfig]:
+def table_scenarios(*, exact_flow: bool = False) -> list[ScenarioConfig]:
     """The built-in seven-scenario grid (handover sweep, rate bump, wide cell)."""
-    one = 60.0 / delta_s  # one request per interval, expressed per minute
-    three = 180.0 / delta_s
+    one = 60.0 / SLOT_SECONDS  # one request per 5-minute interval, expressed per minute
+    three = 180.0 / SLOT_SECONDS
     rows = [
         (one, 1.0, 1.5),
         (one, 0.8, 1.5),
@@ -302,7 +300,7 @@ def table_scenarios(
         (one, 0.5, 6.0),
     ]
     return [
-        ScenarioConfig(lam, h, rng_miles, delta_s=delta_s, exact_flow=exact_flow)
+        ScenarioConfig(lam, h, rng_miles, exact_flow=exact_flow)
         for lam, h, rng_miles in rows
     ]
 

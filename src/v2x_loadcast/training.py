@@ -13,6 +13,8 @@ from .metrics import loss_mse, metric_mae
 from .nn import ModelParameters, backward, forward, init_parameters, predict
 from .optim import DEFAULT_DECAY, DEFAULT_EPSILON, DEFAULT_LEARNING_RATE, RMSPropState, rmsprop_step
 
+MAX_HIDDEN_SIZE = 1024  # a 32 MB recurrent weight matrix; the paper uses 32
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -29,7 +31,7 @@ class TrainingConfig:
         # Written so that NaN fails every float check, and inf every open bound.
         checks = [
             (self.cell in ("lstm", "gru"), "cell must be lstm or gru"),
-            (self.hidden_size >= 1, "hidden_size must be >= 1"),
+            (1 <= self.hidden_size <= MAX_HIDDEN_SIZE, f"hidden_size must be in [1, {MAX_HIDDEN_SIZE}]"),
             (0 < self.learning_rate < math.inf, "learning_rate must be finite and > 0"),
             (0 <= self.rho < 1, "rho must lie in [0, 1)"),
             (0 < self.epsilon < math.inf, "epsilon must be finite and > 0"),

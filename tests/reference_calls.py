@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from v2x_loadcast.calls import CallSeries, ScenarioConfig, dwell_minutes
-from v2x_loadcast.road import RoadSeries
+from v2x_loadcast.road import SLOT_SECONDS, RoadSeries
 
 
 def reference_simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
@@ -22,7 +22,7 @@ def reference_simulate_calls(series: RoadSeries, config: ScenarioConfig) -> Call
     flows = series.flows
     speeds = series.speeds
     timestamps = series.timestamps
-    delta = float(config.delta_s)
+    delta = float(SLOT_SECONDS)
 
     zero_speed = int(np.count_nonzero((speeds == 0.0) & (flows > 0)))
     dwell_min = dwell_minutes(speeds, config.cell_range_miles)  # per interval

@@ -195,8 +195,11 @@ class TestTypes:
             ScenarioConfig(lam=0.1, handover_prob=1.5, cell_range_miles=1.5)
         with pytest.raises(ValueError):
             ScenarioConfig(lam=0.1, handover_prob=0.5, cell_range_miles=0.0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(lam=0.1, handover_prob=0.5, cell_range_miles=1.5, delta_s=0)
+
+    def test_seed_and_exact_flow_are_keyword_only(self):
+        # A fourth positional value is refused, not taken as the seed.
+        with pytest.raises(TypeError):
+            ScenarioConfig(0.1, 0.5, 1.5, 300)
 
     @pytest.mark.parametrize("fields", [
         {"lam": float("nan")},
@@ -262,15 +265,14 @@ class TestAgainstReference:
         lam=st.sampled_from([0.0, 0.05, 0.4, 1.5]),
         handover=st.sampled_from([0.0, 0.3, 1.0]),
         cell_range=st.sampled_from([0.2, 1.5, 6.0]),
-        delta_s=st.sampled_from([1, 60, 299, 300, 301, 450, 1000, 4000]),
         exact_flow=st.booleans(),
         chunk=st.sampled_from([1, 2, 7, 1 << 16, 1 << 20]),
     )
     def test_counts_identical(
-        self, seed, days, start, gaps, lam, handover, cell_range, delta_s, exact_flow, chunk
+        self, seed, days, start, gaps, lam, handover, cell_range, exact_flow, chunk
     ):
         series = gapped_series(seed, days, start, gaps[: days - 1])
-        cfg = ScenarioConfig(lam, handover, cell_range, delta_s, seed, exact_flow)
+        cfg = ScenarioConfig(lam, handover, cell_range, seed=seed, exact_flow=exact_flow)
         want = reference_simulate_calls(series, cfg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(calls_module, "CHUNK_CALLS", chunk)
@@ -295,7 +297,7 @@ class TestAgainstReference:
         # The per-call chunks are split into two halves, one per thread: one
         # chunk leaves the second half empty, an odd number makes them unequal.
         series = gapped_series(4, 2, 300, [3])
-        cfg = ScenarioConfig(0.4, 0.3, 1.5, 300, 9, False)
+        cfg = ScenarioConfig(0.4, 0.3, 1.5, seed=9)
         got, _, chunks = simulate_in_chunks(series, cfg, parts, monkeypatch)
         assert len(chunks) == parts
         want = reference_simulate_calls(series, cfg)
@@ -310,7 +312,7 @@ class TestAgainstReference:
         n = POINTS_PER_DAY
         speeds = np.where(np.arange(n) < n // 2, 90.0, 10.0)
         series = RoadSeries(SLOT_SECONDS * np.arange(n), np.full(n, 6), speeds)
-        cfg = ScenarioConfig(0.4, 0.3, 0.5, 300, 8, exact_flow=True)
+        cfg = ScenarioConfig(0.4, 0.3, 0.5, seed=8, exact_flow=True)
         got, calls_before, chunks = simulate_in_chunks(series, cfg, 2, monkeypatch)
         assert len(chunks) == 2
         middle = chunks[1][0]
@@ -325,7 +327,7 @@ class TestAgainstReference:
         flows[::48] = 2
         series = RoadSeries(SLOT_SECONDS * np.arange(POINTS_PER_DAY), flows,
                             np.full(POINTS_PER_DAY, 3.0))
-        cfg = ScenarioConfig(MAX_LAM, 0.5, 5.0, 300, 6, exact_flow=True)
+        cfg = ScenarioConfig(MAX_LAM, 0.5, 5.0, seed=6, exact_flow=True)
         assert dwell_minutes(3.0, 5.0) == 60.0
         draw = calls_module._per_vehicle_calls
         stored = []
@@ -343,22 +345,22 @@ class TestAgainstReference:
         assert np.array_equal(got.counts, want.counts)
         assert got.counts.sum() > 12 * 2**15
 
-    @pytest.mark.parametrize("delta", [1.0, 300.0, 450.0, 4000.0])
-    def test_slot_lookup_at_grid_points(self, delta):
-        # Instants on and one ulp either side of every grid point, across a day
-        # gap and past both ends, against the searchsorted rule.
-        series = gapped_series(1, 2, 1_616_976_000, [5])
+    @pytest.mark.parametrize("start", [0, 1_616_976_000])
+    def test_slot_lookup_at_grid_points(self, start):
+        # Instants on and one ulp either side of every slot start from t0 to 30
+        # slots past the end, across a day gap, against the searchsorted rule.
+        series = gapped_series(1, 2, start, [5])
         ts = series.timestamps
-        grid = _SlotGrid(ts, delta)
-        points = (ts[0] + SLOT_SECONDS * np.arange(-3, len(ts) + 30)).astype(np.float64)
-        t = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
-                            points + delta, np.nextafter(points + delta, -np.inf)])
+        grid = _SlotGrid(ts)
+        points = (ts[0] + SLOT_SECONDS * np.arange(grid.top + 30)).astype(np.float64)
+        t = np.concatenate([points, np.nextafter(points, -np.inf)[1:], np.nextafter(points, np.inf)])
         idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
-        inside = (t >= ts[idx]) & (t < ts[idx] + delta)
+        inside = (t >= ts[idx]) & (t < ts[idx] + SLOT_SECONDS)
         k = grid.slots(t)
-        assert k.min() >= 0 and k.max() < len(grid.owner)
-        assert np.array_equal(k != 0, inside)
-        assert np.array_equal(grid.owner[k[inside]], idx[inside])
+        assert k.min() >= 0 and k.max() == grid.top
+        per_slot = np.bincount(k, minlength=grid.top + 1)
+        assert np.array_equal(per_slot[grid.interval_slot], np.bincount(idx[inside], minlength=len(ts)))
+        assert np.array_equal(grid.interval_slot[idx[inside]], k[inside])
 
 
 class TestThreads:

@@ -20,6 +20,7 @@ from v2x_loadcast.cli import MAX_GRADCHECK_SEEDS, build_parser, dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
 from v2x_loadcast.road import MAX_SYNTH_DAYS
 from v2x_loadcast.errors import ConfigError
+from v2x_loadcast.training import MAX_HIDDEN_SIZE
 
 SMALL_RUN = """
 days = 6
@@ -72,14 +73,14 @@ def _refuse_road(*args, **kwargs):
     raise AssertionError("a road was loaded for a config that should have been rejected")
 
 
-def run_set(key_value: str) -> tuple[int, list[str]]:
-    """`run --set key_value` with road loading refused: exit code and stderr lines."""
+def run_set(key_value: str, *args: str) -> tuple[int, list[str]]:
+    """`run --set key_value *args` with road loading refused: exit code and stderr lines."""
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         mp.setattr(cli, "synthesize_road_series", _refuse_road)
         mp.setattr(cli, "parse_road_csv", _refuse_road)
-        code = dispatch(["run", "--set", key_value])
+        code = dispatch(["run", "--set", key_value, *args])
     return code, err.getvalue().splitlines()
 
 
@@ -113,7 +114,6 @@ BAD_VALUES = {
     "lambda_per_min": st.one_of(_finite_floats(lambda x: not 0 <= x <= MAX_LAM), _NOT_A_FLOAT),
     "handover_prob": st.one_of(_finite_floats(lambda x: not 0 <= x <= 1), _NOT_A_FLOAT),
     "cell_range_miles": st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT),
-    "delta_s": _NON_POSITIVE_INT,
     "exact_flow": st.sampled_from(["maybe", "", "2", "nan", "yess", "t"]),
     "feature_mode": _not_one_of("net", "net_road", "both"),
     "window": _NON_POSITIVE_INT,
@@ -124,7 +124,9 @@ BAD_VALUES = {
         _JUNK, _NON_FINITE,
     ),
     "cell": _not_one_of("lstm", "gru"),
-    "hidden_size": _NON_POSITIVE_INT,
+    "hidden_size": st.one_of(
+        _NON_POSITIVE_INT, st.integers(min_value=MAX_HIDDEN_SIZE + 1).map(str)
+    ),
     "learning_rate": st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT),
     "rho": st.one_of(_finite_floats(lambda x: not 0 <= x < 1), _NOT_A_FLOAT),
     "epsilon": st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT),
@@ -153,9 +155,9 @@ class TestBadValues:
         assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
 
     @pytest.mark.parametrize("key_value", [
-        # Rejected by the parent's 19 config checks.
+        # Rejected by the original config checks.
         "days=0", "impute=mean", "lambda_per_min=-1", "handover_prob=1.5",
-        "cell_range_miles=0", "delta_s=0", "feature_mode=roads", "window=0", "horizon=0",
+        "cell_range_miles=0", "feature_mode=roads", "window=0", "horizon=0",
         "split=3,1", "cell=rnn", "hidden_size=0", "learning_rate=0", "rho=1", "epsilon=0",
         "batch_size=0", "max_epochs=0", "patience=0", "seeds=,",
         # Non-finite floats, and seeds numpy cannot take.
@@ -164,11 +166,29 @@ class TestBadValues:
         "epsilon=nan", "epsilon=inf", "seed=-1", "seeds=1,-2",
         # Finite, but past what numpy's Poisson draw takes.
         "lambda_per_min=1e300",
+        # Past the cap on the model width, whose arrays would exhaust memory.
+        "hidden_size=1025", "hidden_size=100000",
     ])
     def test_run_bad_value_is_config_error(self, key_value):
         code, err = run_set(key_value)
         assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
         assert key_value[:3] in err[0]  # names the key, or the field it feeds
+
+    @pytest.mark.parametrize("value", ["300", "0"])
+    def test_interval_length_key_is_unknown(self, value, tmp_path):
+        # The interval length is the road's 5-minute slot; no key sets it.
+        want = (2, ["error: ConfigError: unknown config key 'delta_s'"])
+        assert run_set(f"delta_s={value}") == want
+        assert run_set("days=2", "--config", str(write_config(tmp_path, f"delta_s = {value}"))) == want
+
+    def test_simulate_interval_length_flag_is_config_error(self, one_day_csv, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = dispatch(["simulate", "--road", str(one_day_csv), "--lambda", "0.2", "--h", "0.5",
+                         "--range", "1.5", "--delta", "300", "--out", str(out)])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
+        assert "--delta" in err[0] and captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--lambda", "nan"), ("--lambda", "inf"), ("--range", "nan"), ("--lambda", "1e300"),
@@ -195,7 +215,6 @@ BAD_FLAGS = {
         "--lambda": st.one_of(_finite_floats(lambda x: not 0 <= x <= MAX_LAM), _NOT_A_FLOAT),
         "--h": st.one_of(_finite_floats(lambda x: not 0 <= x <= 1), _NOT_A_FLOAT),
         "--range": _NOT_POSITIVE_FLOAT,
-        "--delta": _NON_POSITIVE_INT,
         "--seed": _NEGATIVE_INT,
         "--out": _BAD_OUT,
     },
