@@ -32,9 +32,10 @@ inside the Poisson draws, whose length varies: the V entry offsets start at
 0, the V handover flags at V, the Poisson draws at V (or 2V when h > 0) and
 the per-call uniforms where the Poisson draws stop. Each part draws from its
 own copy of the generator advanced (`advance`, which is exact) to where it
-begins, on its own thread, and the draws stay the same. The work runs in two
-parallel stages, each on the calling thread and one helper thread that is
-joined before the stage ends:
+begins, on its own thread, and the draws stay the same. When lam > 0 the
+work runs in two stages, each split between the calling thread and one
+helper thread from a one-worker pool that is joined before `simulate_calls`
+returns:
 
 * vehicles: the helper draws the calls per vehicle, the calling thread the
   handover flags (only if h > 0). The entry offsets are not drawn here.
@@ -67,7 +68,6 @@ at or after its vehicle's entry.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -197,30 +197,6 @@ def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _on_two_threads(helper, own):
-    """`(helper(), own())`, with `helper` run on a second thread joined before this returns.
-
-    An exception raised on either thread reaches the caller.
-    """
-    done = {}
-
-    def target():
-        try:
-            done["value"] = helper()
-        except BaseException as exc:  # re-raised on the calling thread
-            done["error"] = exc
-
-    thread = threading.Thread(target=target, name="simulate_calls")
-    thread.start()
-    try:
-        mine = own()
-    finally:
-        thread.join()
-    if "error" in done:
-        raise done["error"]
-    return done["value"], mine
-
-
 def _blocks(before: np.ndarray) -> list[tuple[int, int]]:
     """Runs `a:b` of whole intervals holding about CHUNK_CALLS items each, in order.
 
@@ -232,19 +208,18 @@ def _blocks(before: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _per_vehicle_calls(rng, means, vehicles, first, blocks, per_vehicle):
-    """New calls per vehicle, Poisson with its interval's mean, and their per-interval sums.
+    """Fill `per_vehicle` with new calls per vehicle, Poisson with its interval's mean.
 
-    The draws fill `per_vehicle`, which is returned with the sums. Its
-    counts are int32: a mean is at most MAX_LAM * DWELL_CAP_MIN = 60 000, so
-    a draw that reached 2^31 would lie millions of standard deviations above
-    it.
+    Returns their per-interval sums. The counts are int32: a mean is at most
+    MAX_LAM * DWELL_CAP_MIN = 60 000, so a draw that reached 2^31 would lie
+    millions of standard deviations above it.
     """
     per_interval = np.empty(len(vehicles), dtype=np.int64)
     for a, b in blocks:
         own = per_vehicle[first[a] : first[b]]
         own[:] = rng.poisson(np.repeat(means[a:b], vehicles[a:b]))
         per_interval[a:b] = _interval_sums(own, vehicles, first, a, b)
-    return per_vehicle, per_interval
+    return per_interval
 
 
 def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
@@ -279,47 +254,51 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
         handovers()
         return CallSeries(counts, total_vehicles, zero_speed)
 
+    # Imported here: at module import it would add ~10 ms, mostly logging, to every CLI start.
+    from concurrent.futures.thread import ThreadPoolExecutor
+
     # The Poisson stage starts after the entry offsets and the handover flags.
     after = _jumped(rng, total_vehicles * (2 if handover else 1))
     # Allocated here, not on the helper: in the helper thread's malloc arena a
     # freed block of this size was often not reused by the next, slightly
     # larger one, so repeated calls paged in a second copy of it.
     per_vehicle = np.empty(total_vehicles, dtype=np.int32)
-    (per_vehicle, per_interval), _ = _on_two_threads(
-        lambda: _per_vehicle_calls(
-            after, config.lam * dwell_min, vehicles, first, vehicle_blocks, per_vehicle
-        ),
-        handovers,
-    )
-    calls_before = _starts(per_interval)
-    if calls_before[-1] == 0:
-        return CallSeries(counts, total_vehicles, zero_speed)
+    # Leaving the block, by a return or an error on either thread, joins the helper.
+    with ThreadPoolExecutor(1, thread_name_prefix="simulate_calls") as helper:
+        drawn = helper.submit(
+            _per_vehicle_calls,
+            after, config.lam * dwell_min, vehicles, first, vehicle_blocks, per_vehicle,
+        )
+        handovers()
+        per_interval = drawn.result()
+        calls_before = _starts(per_interval)
+        if calls_before[-1] == 0:
+            return CallSeries(counts, total_vehicles, zero_speed)
 
-    grid = _SlotGrid(timestamps)
-    dwell_s = dwell_min * 60.0
+        grid = _SlotGrid(timestamps)
+        dwell_s = dwell_min * 60.0
 
-    def bin_calls(entries, gen, chunks):
-        """Per grid slot, the calls of these chunks' vehicles, each uniform over its dwell.
+        def bin_calls(entries, gen, chunks):
+            """Per grid slot, the calls of these chunks' vehicles, each uniform over its dwell.
 
-        `entries` draws the chunks' entry offsets and `gen` their calls' positions.
-        """
-        hits = np.zeros(grid.top + 1, dtype=np.int64)
-        for a, b in chunks:
-            entry_abs = np.repeat(timestamps[a:b].astype(np.float64), vehicles[a:b])
-            entry_abs += entries.uniform(0.0, SLOT_SECONDS, len(entry_abs))
-            call_abs = np.repeat(entry_abs, per_vehicle[first[a] : first[b]])
-            dwell = np.repeat(dwell_s[a:b], per_interval[a:b])
-            call_abs += gen.uniform(0.0, 1.0, len(call_abs)) * dwell
-            hits += np.bincount(grid.slots(call_abs), minlength=len(hits))
-        return hits
+            `entries` draws the chunks' entry offsets and `gen` their calls' positions.
+            """
+            hits = np.zeros(grid.top + 1, dtype=np.int64)
+            for a, b in chunks:
+                entry_abs = np.repeat(timestamps[a:b].astype(np.float64), vehicles[a:b])
+                entry_abs += entries.uniform(0.0, SLOT_SECONDS, len(entry_abs))
+                call_abs = np.repeat(entry_abs, per_vehicle[first[a] : first[b]])
+                dwell = np.repeat(dwell_s[a:b], per_interval[a:b])
+                call_abs += gen.uniform(0.0, 1.0, len(call_abs)) * dwell
+                hits += np.bincount(grid.slots(call_abs), minlength=len(hits))
+            return hits
 
-    chunks = _blocks(calls_before)
-    half = (len(chunks) + 1) // 2  # the late half is empty when there is one chunk
-    cut = chunks[half - 1][1]  # the late half's first interval
-    late = _jumped(rng, int(first[cut])), _jumped(after, int(calls_before[cut]))
-    late_hits, hits = _on_two_threads(
-        lambda: bin_calls(*late, chunks[half:]), lambda: bin_calls(rng, after, chunks[:half])
-    )
-    hits += late_hits
+        chunks = _blocks(calls_before)
+        half = (len(chunks) + 1) // 2  # the late half is empty when there is one chunk
+        cut = chunks[half - 1][1]  # the late half's first interval
+        late = _jumped(rng, int(first[cut])), _jumped(after, int(calls_before[cut]))
+        late_hits = helper.submit(bin_calls, *late, chunks[half:])
+        hits = bin_calls(rng, after, chunks[:half])
+        hits += late_hits.result()
     counts += hits[grid.interval_slot]
     return CallSeries(counts, total_vehicles, zero_speed)

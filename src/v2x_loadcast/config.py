@@ -76,6 +76,8 @@ class AppConfig:
                 f"feature_mode must be {', '.join(FEATURE_MODES)} or both",
             ),
             (len(self.seeds) >= 1, "seeds must name at least one seed"),
+            # A repeated seed would repeat a metrics row and overwrite its report.
+            (len(set(self.seeds)) == len(self.seeds), f"seeds must be distinct, got {self.seeds}"),
         ]
         for ok, message in checks:
             if not ok:

@@ -32,6 +32,9 @@ POINTS_PER_DAY = 288  # 24 h / 5 min
 EPOCH_MIN = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
 EPOCH_MAX = int(datetime(9999, 12, 31, 23, 55, tzinfo=timezone.utc).timestamp())
 SPEED_MAX_MPH = 120.0
+# Vehicles in one 5-minute interval (a bound on each interval, not on a series'
+# total): a lane carries about 200 at capacity, so this is about fifty lanes.
+FLOW_MAX = 10_000
 FLOW_MAX_SYNTH = 600
 SPEED_FLOOR_SYNTH = 5.0
 SPEED_CEIL_SYNTH = 75.0
@@ -72,11 +75,11 @@ class RoadSeries:
     interval (int64) and `speeds` average mph (float64); the constructor
     stores read-only copies of what it is given. Invariants enforced at
     construction: the columns are 1-D and of one length, a multiple of 288;
-    flows are whole numbers >= 0 and speeds lie in [0, 120]; timestamps
-    strictly increase, within each day block of 288 records consecutive
-    timestamps differ by exactly 300 s, and every timestamp lies on the
-    300-s grid of the first one. Blocks may be separated by larger gaps
-    (skipped weekends in work-day data).
+    flows are whole numbers in [0, FLOW_MAX] and speeds lie in [0, 120];
+    timestamps strictly increase, within each day block of 288 records
+    consecutive timestamps differ by exactly 300 s, and every timestamp lies
+    on the 300-s grid of the first one. Blocks may be separated by larger
+    gaps (skipped weekends in work-day data).
     """
 
     timestamps: np.ndarray
@@ -99,6 +102,10 @@ class RoadSeries:
         if negative.any():
             k = int(np.argmax(negative))
             raise BoundsError(f"flows[{k}] = {flows[k]} < 0 at timestamp {ts[k]}")
+        too_many = flows > FLOW_MAX
+        if too_many.any():
+            k = int(np.argmax(too_many))
+            raise BoundsError(f"flows[{k}] = {flows[k]} > {FLOW_MAX} at timestamp {ts[k]}")
         out_of_range = ~((speeds >= 0.0) & (speeds <= SPEED_MAX_MPH))  # NaN included
         if out_of_range.any():
             k = int(np.argmax(out_of_range))
@@ -174,6 +181,8 @@ def _parse_flow(text: str, line: int) -> int:
         raise MalformedRow(f"line {line}: flow {text!r} is not an integer count")
     if value < 0:
         raise BoundsError(f"line {line}: flow {text!r} < 0")
+    if value > FLOW_MAX:
+        raise BoundsError(f"line {line}: flow {text!r} > {FLOW_MAX}")
     return int(value)
 
 

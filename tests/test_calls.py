@@ -334,7 +334,7 @@ class TestAgainstReference:
 
         def recorded(*args):
             result = draw(*args)
-            stored.append(result[0])
+            stored.append(args[-1])  # the per-vehicle buffer the draw filled
             return result
 
         monkeypatch.setattr(calls_module, "_per_vehicle_calls", recorded)
@@ -373,15 +373,51 @@ class TestThreads:
             simulate_calls(series, scenario)
             assert threading.active_count() == before
 
-    def test_helper_error_reaches_the_caller_with_the_thread_joined(self, monkeypatch):
-        def fail(*args):
-            assert threading.current_thread() is not threading.main_thread()
-            raise ZeroDivisionError("raised on the helper thread")
+    def test_one_helper_thread_per_call(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
 
-        monkeypatch.setattr(calls_module, "_per_vehicle_calls", fail)
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        series = synthesize_road_series(2, 4)
+        simulate_calls(series, table_scenarios()[5])
+        assert len(started) == 1 and started[0].startswith("simulate_calls")
+        simulate_calls(series, ScenarioConfig(lam=0.0, handover_prob=0.5, cell_range_miles=1.5))
+        assert len(started) == 1
+
+    @pytest.mark.parametrize(
+        "owner, name, on_helper",
+        [
+            (calls_module, "_per_vehicle_calls", True),
+            (_SlotGrid, "slots", True),
+            (_SlotGrid, "slots", False),
+            (calls_module, "_interval_sums", False),
+        ],
+        ids=["vehicle-stage-helper", "call-stage-helper", "call-stage-caller", "handovers-caller"],
+    )
+    def test_helper_error_reaches_the_caller_with_the_thread_joined(
+        self, monkeypatch, owner, name, on_helper
+    ):
+        # Raised on one thread only. The helper draws the calls per vehicle and
+        # bins the late half of the chunks; the calling thread draws the
+        # handover flags and bins the early half.
+        caller = threading.current_thread()
+        real = getattr(owner, name)
+        where = "helper" if on_helper else "calling"
+
+        def fail(*args):
+            if (threading.current_thread() is not caller) == on_helper:
+                raise ZeroDivisionError(f"raised on the {where} thread")
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, fail)
+        monkeypatch.setattr(calls_module, "CHUNK_CALLS", 1024)  # both halves non-empty
         before = threading.active_count()
         cfg = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5, seed=3)
-        with pytest.raises(ZeroDivisionError, match="helper thread"):
+        with pytest.raises(ZeroDivisionError, match=f"{where} thread"):
             simulate_calls(steady_series(1, 40, 60.0), cfg)
         assert threading.active_count() == before
 

@@ -134,7 +134,11 @@ BAD_VALUES = {
     "max_epochs": _NON_POSITIVE_INT,
     "patience": _NON_POSITIVE_INT,
     "seed": st.one_of(st.integers(max_value=-1).map(str), _NOT_AN_INT),
-    "seeds": st.one_of(_int_lists(-9, lambda xs: min(xs) < 0), _JUNK, _NON_FINITE, st.just(",")),
+    "seeds": st.one_of(
+        _int_lists(-9, lambda xs: min(xs) < 0),
+        _int_lists(0, lambda xs: len(set(xs)) < len(xs)),
+        _JUNK, _NON_FINITE, st.just(","),
+    ),
 }
 _KEYS = {f.name for f in fields(AppConfig)}
 _UNKNOWN_KEY = st.from_regex(r"[a-z_]{1,16}", fullmatch=True).filter(lambda k: k not in _KEYS)
@@ -164,6 +168,8 @@ class TestBadValues:
         "lambda_per_min=nan", "lambda_per_min=inf", "cell_range_miles=nan",
         "cell_range_miles=inf", "learning_rate=nan", "learning_rate=inf", "rho=nan", "rho=inf",
         "epsilon=nan", "epsilon=inf", "seed=-1", "seeds=1,-2",
+        # A repeated seed, whose run would write one report for two rows.
+        "seeds=1,1",
         # Finite, but past what numpy's Poisson draw takes.
         "lambda_per_min=1e300",
         # Past the cap on the model width, whose arrays would exhaust memory.
@@ -208,7 +214,9 @@ class TestBadValues:
 _NEGATIVE_INT = st.one_of(st.integers(max_value=-1).map(str), _NOT_AN_INT)
 _NOT_POSITIVE_FLOAT = st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT)
 _BAD_OUT = st.sampled_from(["<dir>", "<missing>/out.csv"])
-_BAD_ROAD = st.sampled_from(["<missing>", "<dir>", "<binary>", "<header_only>", "<report>"])
+_BAD_ROAD = st.sampled_from(
+    ["<missing>", "<dir>", "<binary>", "<header_only>", "<report>", "<huge_flow>"]
+)
 BAD_FLAGS = {
     "simulate": {
         "--road": _BAD_ROAD,
@@ -275,9 +283,13 @@ def bad_paths(tmp_path_factory, one_day_csv):
         (root / name).mkdir()
         (root / name / "r.json").write_bytes(payload)
         paths[f"<{name}>"] = str(root / name)
+    rows = one_day_csv.read_text().splitlines()
+    stamp, _, speed = rows[100].split(",")
+    rows[100] = f"{stamp},{10**12},{speed}"  # a valid day but for this flow on line 101
     for name, payload in [("binary", b"\xff\xfetimestamp,flow\n\x80,1\n"),
                           ("header_only", b"timestamp,flow,speed\n"),
-                          ("report", json.dumps(report).encode())]:
+                          ("report", json.dumps(report).encode()),
+                          ("huge_flow", "\n".join(rows).encode())]:
         (root / name).write_bytes(payload)
         paths[f"<{name}>"] = str(root / name)
     return paths
@@ -324,6 +336,13 @@ class TestBadFlags:
         lines = err.getvalue().splitlines()
         assert code in (1, 2) and len(lines) == 1 and _ERROR_LINE.match(lines[0]), (argv, lines)
         assert lines[0].startswith("error: ConfigError:") == (code == 2), lines
+
+    @pytest.mark.parametrize("command, flag", [("ingest", "--input"), ("simulate", "--road")])
+    def test_huge_flow_is_one_bounds_error(self, bad_paths, command, flag, capsys):
+        argv = {**GOOD_FLAGS[command], flag: "<huge_flow>"}
+        assert dispatch([command, *[f"{f}={bad_paths.get(v, v)}" for f, v in argv.items()]]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: BoundsError: line 101: flow"), err
 
 
 class TestDispatch:

@@ -17,6 +17,7 @@ from v2x_loadcast.errors import (
     ShapeMismatch,
 )
 from v2x_loadcast.road import (
+    FLOW_MAX,
     POINTS_PER_DAY,
     SLOT_SECONDS,
     RoadSeries,
@@ -332,6 +333,14 @@ class TestColumns:
         ts, flows, speeds = self.columns()
         flows[5] = -5
         with pytest.raises(BoundsError, match=r"flows\[5\] = -5 < 0"):
+            RoadSeries(ts, flows, speeds)
+
+    def test_flow_bound_is_inclusive(self):
+        ts, flows, speeds = self.columns()
+        flows[11] = FLOW_MAX
+        assert RoadSeries(ts, flows, speeds).flows[11] == FLOW_MAX
+        flows[11] = FLOW_MAX + 1
+        with pytest.raises(BoundsError, match=rf"flows\[11\] = {FLOW_MAX + 1} > {FLOW_MAX} at"):
             RoadSeries(ts, flows, speeds)
 
     @pytest.mark.parametrize("flow", [3.7, np.nan, 1e30])
