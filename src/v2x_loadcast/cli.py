@@ -307,6 +307,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy raises a private subclass; name the public one
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

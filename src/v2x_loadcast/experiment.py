@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .calls import ScenarioConfig, simulate_calls
-from .errors import ConfigError, EmptyBatch, LoadcastError, WorkerDied
+from .errors import ConfigError, LoadcastError, WorkerDied
 from .features import (
     FEATURE_NAMES,
     MODE_COLUMNS,
@@ -139,8 +139,6 @@ def prepare_windows(
 
 def naive_baseline(windows: WindowSet) -> float:
     """Persistence floor: predict the last observed call count for every horizon step."""
-    if len(windows) == 0:
-        raise EmptyBatch("no windows to score")
     last = windows.inputs[:, -1, -1]  # calls is always the last feature
     preds = np.repeat(last[:, None], windows.horizon, axis=1)
     return metric_mae(preds, windows.targets)
@@ -228,6 +226,8 @@ def _grid_row(spec: ExperimentSpec, road: RoadSeries) -> GridRow:
         return GridRow(spec, report=run_experiment(spec, road))
     except LoadcastError as exc:
         return _failed_row(spec, exc)
+    except MemoryError as exc:  # numpy raises a private subclass; name the public one
+        return GridRow(spec, error=f"MemoryError: {exc}")
 
 
 _worker_road: RoadSeries | None = None  # the grid's road, in a forked worker
@@ -247,43 +247,43 @@ def _worker_row(spec: ExperimentSpec) -> GridRow:
 def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list[GridRow]:
     """Run every spec; per-row failures are recorded and the grid continues.
 
-    Rows run in `min(len(specs), _worker_cap())` forked worker processes,
-    each with OpenBLAS pinned to one thread so that workers do not contend
-    for cores. Workers get the road once, at fork, so tasks carry only their
-    spec. The pool is created and joined inside the call, so no process
-    outlives it. Without `fork` or a known OpenBLAS setter the rows run
-    serially. Reports come back in spec order and do not depend on the
-    worker count. A worker that dies (killed by a signal, say) breaks the
-    pool: every row not finished by then, its own and those running beside
-    it, comes back failed with `WorkerDied`, and the finished rows keep
-    their reports.
+    Every row runs in one of `min(len(specs), _worker_cap())` forked worker
+    processes, one row or one worker included, with OpenBLAS pinned to one
+    thread so that workers do not contend for cores. Workers get the road
+    once, at fork, so tasks carry only their spec. The pool is created and
+    joined inside the call, so no process outlives it. Only a host without
+    `fork` or a known OpenBLAS setter runs the rows in this process, one
+    after another. Reports come back in spec order and do not depend on the
+    worker count. A row that runs out of memory fails with `MemoryError`. A
+    worker that dies (killed by a signal, say) breaks the pool: every row
+    not finished by then, its own and those running beside it, comes back
+    failed with `WorkerDied`, and the finished rows keep their reports.
     """
     if not specs:
         raise ConfigError("empty scenario grid")
     workers = min(len(specs), _worker_cap())
-    if workers > 1:
-        # Imported here: at module import they would add ~15 ms to every CLI start.
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    # Imported here: at module import they would add ~15 ms to every CLI start.
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        set_blas_threads = openblas_function(BLAS_SETTERS)
-        if set_blas_threads is not None and "fork" in multiprocessing.get_all_start_methods():
-            set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(set_blas_threads, road),
-            ) as pool:
-                futures = [pool.submit(_worker_row, spec) for spec in specs]
-                rows = []
-                for spec, future in zip(specs, futures):
-                    try:
-                        rows.append(future.result())
-                    except BrokenProcessPool as exc:
-                        rows.append(_failed_row(spec, WorkerDied(str(exc))))
-                return rows
-    return [_grid_row(s, road) for s in specs]
+    set_blas_threads = openblas_function(BLAS_SETTERS)
+    if set_blas_threads is None or "fork" not in multiprocessing.get_all_start_methods():
+        return [_grid_row(s, road) for s in specs]
+    set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(set_blas_threads, road),
+    ) as pool:
+        futures = [pool.submit(_worker_row, spec) for spec in specs]
+        rows = []
+        for spec, future in zip(specs, futures):
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool as exc:
+                rows.append(_failed_row(spec, WorkerDied(str(exc))))
+        return rows
 
 
 def table_scenarios(*, exact_flow: bool = False) -> list[ScenarioConfig]:

@@ -120,10 +120,6 @@ class WindowSet:
         return self.inputs.shape[0]
 
     @property
-    def window_length(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
     def input_dim(self) -> int:
         return self.inputs.shape[2]
 

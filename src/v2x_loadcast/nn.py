@@ -57,7 +57,7 @@ model (lead = ()) runs on the plain (M, B, G*H) and (M+1, B, H) shapes.
 then, time-major, `states` (M+1, *lead, B, H) and the activated `gates`
 (M, *lead, B, G*H); LSTM adds `cells` (M+1, *lead, B, H) and `tanh_c`
 (M, *lead, B, H), GRU adds `hh_n` (M, *lead, B, H), the h' W_hn term the
-reset gate scales. `h_prev` and `c` are views of `states` and `cells`.
+reset gate scales. `h_prev` is a view of `states`.
 """
 
 from __future__ import annotations
@@ -209,14 +209,6 @@ class ForwardTrace:
     def h_prev(self) -> np.ndarray:
         """(M, *lead, B, H) hidden state entering each step."""
         return self.states[:-1]
-
-    @property
-    def c(self) -> np.ndarray | None:
-        """(M, *lead, B, H) LSTM cell state leaving each step."""
-        return None if self.cells is None else self.cells[1:]
-
-    def __len__(self) -> int:
-        return self.gates.shape[0]
 
 
 def _as_batch(inputs: np.ndarray, d: int) -> np.ndarray:

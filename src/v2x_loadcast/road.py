@@ -228,22 +228,26 @@ def parse_road_csv(
     # An undecodable byte becomes U+FFFD, which no parsed field accepts.
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in names.values() if c not in header]
-        if missing:
-            raise MalformedRow(f"header {header} lacks required column(s) {missing}")
-        stamps: list[int] = []
-        flows: list[int] = []
-        speeds: list[float] = []
-        for line, row in enumerate(reader, start=2):
-            ts = _parse_timestamp(row[names["timestamp"]] or "", line)
-            if ts % SLOT_SECONDS != 0:
-                raise MalformedRow(
-                    f"line {line}: timestamp {ts} not aligned to the {SLOT_SECONDS}s slot grid"
-                )
-            stamps.append(ts)
-            flows.append(_parse_flow(row[names["flow"]] or "", line))
-            speeds.append(_parse_speed(row[names["speed"]] or "", line))
+        try:
+            header = reader.fieldnames or []
+            missing = [c for c in names.values() if c not in header]
+            if missing:
+                raise MalformedRow(f"header {header} lacks required column(s) {missing}")
+            stamps: list[int] = []
+            flows: list[int] = []
+            speeds: list[float] = []
+            for line, row in enumerate(reader, start=2):
+                ts = _parse_timestamp(row[names["timestamp"]] or "", line)
+                if ts % SLOT_SECONDS != 0:
+                    raise MalformedRow(
+                        f"line {line}: timestamp {ts} not aligned to the {SLOT_SECONDS}s slot grid"
+                    )
+                stamps.append(ts)
+                flows.append(_parse_flow(row[names["flow"]] or "", line))
+                speeds.append(_parse_speed(row[names["speed"]] or "", line))
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            # The inner reader's count includes the line that failed; DictReader's does not.
+            raise MalformedRow(f"line {reader.reader.line_num}: {exc}") from None
 
     if not stamps:
         raise GapError("CSV contains no data rows")
@@ -264,11 +268,9 @@ def parse_road_csv(
     if gap.any():
         slot = int(slots[np.argmax(gap)])
         raise GapError(f"missing 5-minute slot at {_slot_iso(slot)}", slot=slot)
-    # Flows go in as float64, exact for every value `_parse_flow` returns, so
-    # that one past the int64 range is a typed error of `RoadSeries`.
     rows = order[at]
     return RoadSeries(
-        slots, np.array(flows, dtype=np.float64)[rows], np.array(speeds, dtype=np.float64)[rows]
+        slots, np.array(flows, dtype=np.int64)[rows], np.array(speeds, dtype=np.float64)[rows]
     )
 
 

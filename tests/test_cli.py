@@ -9,6 +9,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,7 +216,7 @@ _NEGATIVE_INT = st.one_of(st.integers(max_value=-1).map(str), _NOT_AN_INT)
 _NOT_POSITIVE_FLOAT = st.one_of(_finite_floats(lambda x: x <= 0), _NOT_A_FLOAT)
 _BAD_OUT = st.sampled_from(["<dir>", "<missing>/out.csv"])
 _BAD_ROAD = st.sampled_from(
-    ["<missing>", "<dir>", "<binary>", "<header_only>", "<report>", "<huge_flow>"]
+    ["<missing>", "<dir>", "<binary>", "<header_only>", "<report>", "<huge_flow>", "<huge_field>"]
 )
 BAD_FLAGS = {
     "simulate": {
@@ -285,11 +286,14 @@ def bad_paths(tmp_path_factory, one_day_csv):
         paths[f"<{name}>"] = str(root / name)
     rows = one_day_csv.read_text().splitlines()
     stamp, _, speed = rows[100].split(",")
-    rows[100] = f"{stamp},{10**12},{speed}"  # a valid day but for this flow on line 101
+    huge_flow, huge_field = list(rows), list(rows)  # a valid day but for line 101's flow
+    huge_flow[100] = f"{stamp},{10**12},{speed}"
+    huge_field[100] = f"{stamp},{'1' * 200_000},{speed}"  # past the csv module's field limit
     for name, payload in [("binary", b"\xff\xfetimestamp,flow\n\x80,1\n"),
                           ("header_only", b"timestamp,flow,speed\n"),
                           ("report", json.dumps(report).encode()),
-                          ("huge_flow", "\n".join(rows).encode())]:
+                          ("huge_flow", "\n".join(huge_flow).encode()),
+                          ("huge_field", "\n".join(huge_field).encode())]:
         (root / name).write_bytes(payload)
         paths[f"<{name}>"] = str(root / name)
     return paths
@@ -343,6 +347,17 @@ class TestBadFlags:
         assert dispatch([command, *[f"{f}={bad_paths.get(v, v)}" for f, v in argv.items()]]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: BoundsError: line 101: flow"), err
+
+    @pytest.mark.parametrize("command, flag", [("ingest", "--input"), ("simulate", "--road")])
+    def test_huge_field_is_one_malformed_row(self, bad_paths, command, flag, capsys):
+        argv = {**GOOD_FLAGS[command], flag: "<huge_field>"}
+        assert dispatch([command, *[f"{f}={bad_paths.get(v, v)}" for f, v in argv.items()]]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: MalformedRow: line 101: field larger than field limit (131072)"]
+
+
+def _no_memory(*args):
+    np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
 
 
 class TestDispatch:
@@ -408,6 +423,15 @@ class TestDispatch:
         path.write_text("timestamp,flow,speed\n0,10,60\n600,12,61\n")
         assert dispatch(["ingest", "--input", str(path)]) == 1
         assert "error: GapError:" in capsys.readouterr().err
+
+    def test_simulate_out_of_memory_is_one_error_line(self, one_day_csv, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(cli, "simulate_calls", _no_memory)
+        code = dispatch(["simulate", "--road", str(one_day_csv), "--lambda", "0.2", "--h", "0.5",
+                         "--range", "1.5", "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: MemoryError: Unable to allocate"), err
 
     def test_simulate_writes_fused_csv(self, tmp_path):
         road = tmp_path / "road.csv"

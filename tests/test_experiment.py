@@ -44,6 +44,18 @@ def small_spec(scenario=None, mode="net_road", seed=1, training=TINY):
     return ExperimentSpec(scenario, mode, training=training, seed=seed)
 
 
+# Pool sizes, and the in-process loop of a host without fork or a BLAS setter.
+ROW_PATHS = [1, 2, "fallback"]
+
+
+def use_row_path(monkeypatch, path) -> None:
+    """Rows in a pool of `path` forked workers, or in process as on a host without a BLAS setter."""
+    if path == "fallback":
+        monkeypatch.setattr(experiment, "openblas_function", _no_blas_setter)
+    else:
+        monkeypatch.setenv(experiment.THREADS_ENV, str(path))
+
+
 class TestRunExperiment:
     def test_deterministic_given_seed(self, road6):
         a = run_experiment(small_spec(), road6).to_dict()
@@ -158,15 +170,27 @@ class TestGrid:
 
     def test_grid_deterministic_and_order_independent(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
-        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        use_row_path(monkeypatch, "fallback")
         serial = run_scenario_grid(specs, road6)
-        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        use_row_path(monkeypatch, 2)
         parallel = run_scenario_grid(specs, road6)
         assert [r.spec for r in parallel] == specs
-        for a, b in zip(serial, parallel):
-            da, db = a.report.to_dict(), b.report.to_dict()
-            da.pop("wall_ms"), db.pop("wall_ms")
-            assert da == db
+        assert _reports(serial) == _reports(parallel)
+
+    @pytest.mark.parametrize("missing", ["blas-setter", "fork"])
+    def test_fallback_runs_rows_in_process_with_the_pool_reports(
+        self, road6, monkeypatch, missing
+    ):
+        specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
+        use_row_path(monkeypatch, 2)
+        pooled = run_scenario_grid(specs, road6)
+        if missing == "fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", _spawn_only)
+        else:
+            use_row_path(monkeypatch, "fallback")
+        assert _reports(run_scenario_grid(specs, road6)) == _reports(pooled)
+        monkeypatch.setattr(experiment, "run_experiment", _pid)
+        assert [row.report for row in run_scenario_grid(specs, road6)] == [os.getpid()] * len(specs)
 
     def test_workers_get_the_road_without_pickling_it(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
@@ -189,22 +213,31 @@ class TestGrid:
         assert all(r.report is None and "DegenerateFeature" in r.error for r in rows[:2])
         assert all(r.report is not None and r.error is None for r in rows[2:])
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", ROW_PATHS)
     def test_diverged_row_recorded_grid_continues(self, road6, monkeypatch, workers):
         ok = small_spec()
         diverging = small_spec(training=replace(TINY, learning_rate=1e200))
-        monkeypatch.setenv(experiment.THREADS_ENV, str(workers))
+        use_row_path(monkeypatch, workers)
         rows = run_scenario_grid([diverging, ok], road6)
         assert rows[0].report is None and rows[0].error.startswith("Diverged: epoch 1:")
         assert rows[1].report is not None and rows[1].error is None
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", ROW_PATHS)
     def test_unexpected_error_reaches_caller_with_its_type(self, road6, monkeypatch, workers):
         monkeypatch.setattr(experiment, "run_experiment", _raise_lookup_error)
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
-        monkeypatch.setenv(experiment.THREADS_ENV, str(workers))
+        use_row_path(monkeypatch, workers)
         with pytest.raises(LookupError, match="not a LoadcastError"):
             run_scenario_grid(specs, road6)
+
+    @pytest.mark.parametrize("workers", ROW_PATHS)
+    def test_memory_error_row_recorded_grid_continues(self, road6, monkeypatch, workers):
+        monkeypatch.setattr(experiment, "run_experiment", _seed_or_no_memory_on_seed_2)
+        specs = grid_specs(table_scenarios()[:1], seeds=[1, 2, 3], modes=("net",))
+        use_row_path(monkeypatch, workers)
+        rows = run_scenario_grid(specs, road6)
+        assert [row.report for row in rows] == [1, None, 3]
+        assert rows[1].error.startswith("MemoryError: Unable to allocate"), rows[1].error
 
     def test_no_process_outlives_the_grid(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
@@ -259,6 +292,21 @@ class TestGrid:
         assert all(pid != os.getpid() for pid, _ in (row.report for row in rows))
         assert [threads for _, threads in (row.report for row in rows)] == [1] * len(specs)
 
+    @pytest.mark.parametrize("n_specs, cap", [(1, None), (2, "1")], ids=["one-spec", "cap-1"])
+    def test_one_row_or_one_worker_still_runs_in_a_pinned_worker(
+        self, road6, monkeypatch, n_specs, cap
+    ):
+        if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        monkeypatch.setattr(experiment, "run_experiment", _worker_pid_and_blas_threads)
+        specs = grid_specs(table_scenarios()[:1], seeds=[1], training=TINY)[:n_specs]
+        if cap is None:
+            monkeypatch.delenv(experiment.THREADS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(experiment.THREADS_ENV, cap)
+        pids, threads = zip(*(row.report for row in run_scenario_grid(specs, road6)))
+        assert os.getpid() not in pids and threads == (1,) * n_specs
+
     def test_thread_cap_read_from_environment(self, monkeypatch):
         monkeypatch.setenv(experiment.THREADS_ENV, "3")
         assert experiment._worker_cap() == 3
@@ -269,6 +317,22 @@ class TestGrid:
         monkeypatch.setenv(experiment.THREADS_ENV, "two")
         with pytest.raises(ConfigError, match=experiment.THREADS_ENV):
             experiment._worker_cap()
+
+
+def _reports(rows) -> list[dict]:
+    """The rows' reports without their wall times."""
+    dicts = [row.report.to_dict() for row in rows]
+    for d in dicts:
+        d.pop("wall_ms")
+    return dicts
+
+
+def _no_blas_setter(names):
+    return None
+
+
+def _spawn_only():
+    return ["spawn"]
 
 
 def _child_pids() -> list[str]:
@@ -289,6 +353,16 @@ def _raise_lookup_error(spec, road):
 
 def _refuse_pickle(self, protocol):
     raise AssertionError("the road was pickled for a grid task")
+
+
+def _pid(spec, road):
+    return os.getpid()
+
+
+def _seed_or_no_memory_on_seed_2(spec, road):
+    if spec.seed == 2:
+        np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
+    return spec.seed
 
 
 def _worker_pid_and_blas_threads(spec, road):

@@ -114,7 +114,7 @@ class TestWindows:
         x = np.arange(60.0)
         split = make_windows(x, x, 18, 1, (1, 1, 1), 20)
         assert [len(ws) for ws in split] == [2, 2, 2]
-        assert split.train.window_length == 18 and split.train.horizon == 1
+        assert split.train.inputs.shape[1] == 18 and split.train.horizon == 1
 
     def test_boundary_insufficient(self):
         x = np.arange(54.0)

@@ -89,7 +89,7 @@ class TestForward:
         params = zero_params(cell)
         preds, trace = forward(params, np.ones((4, 6, 2)))
         assert np.all(preds == 0.0)
-        assert len(trace) == 6
+        assert trace.gates.shape[0] == 6
 
     def test_hand_computed_scalar_value(self):
         params = scalar_lstm_params(
@@ -174,7 +174,7 @@ class TestForward:
         assert np.all(np.isfinite(preds))
         assert np.all(np.isfinite(trace.h_prev))
         if cell == "lstm":
-            assert np.all(np.isfinite(trace.c))
+            assert np.all(np.isfinite(trace.cells[1:]))
 
 
 class TestMetrics:
@@ -280,7 +280,7 @@ class TestKernelOracle:
             assert _max_norm_error(grads[name], ref) <= 1e-12, name
         assert np.allclose(trace.h_prev, acts["h_prev"], rtol=0.0, atol=1e-12)
         if cell == "lstm":
-            assert np.allclose(trace.c, acts["c"], rtol=0.0, atol=1e-12)
+            assert np.allclose(trace.cells[1:], acts["c"], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     @pytest.mark.parametrize(
@@ -317,7 +317,7 @@ class TestStackedForward:
         stack = params.flat + rng.normal(0.0, 0.5, (*lead, params.flat.size))
         x = rng.normal(0.0, 1.0, (3, 5, 3))
         preds, trace = forward(params.with_flat(stack), x)
-        assert preds.shape == (*lead, 3, 2) and len(trace) == 5
+        assert preds.shape == (*lead, 3, 2) and trace.gates.shape[0] == 5
         assert trace.h_prev.shape == (5, *lead, 3, 4)
         for k in np.ndindex(lead):
             one, one_trace = forward(params.with_flat(stack[k]), x)
