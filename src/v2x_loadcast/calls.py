@@ -41,18 +41,23 @@ returns:
   handover flags (only if h > 0). The entry offsets are not drawn here.
 * calls: the chunks below are split into two contiguous halves (the second
   is empty when there is one chunk). For each chunk a thread draws its
-  vehicles' entry offsets, then the uniforms of their calls. The calling
-  thread takes the first half, with the entry offsets from the start and the
+  vehicles' entry offsets, then the uniforms of their calls, and bins the
+  calls into the slots from its first interval's on. The calling thread
+  takes the first half, with the entry offsets from the start and the
   uniforms from where the Poisson draws stopped; the helper takes the
   second, from copies advanced by the vehicles and by the calls before its
-  first interval. Each half bins into its own per-slot counts, which are
+  first interval. Each half adds into its own per-slot counts, which are
   summed.
 
 Handover flags and Poisson draws run in blocks of whole intervals holding
 about `CHUNK_CALLS` vehicles, and the per-call stage in chunks holding about
-`CHUNK_CALLS` calls: consecutive slices of one draw are that draw, so this
-bounds the work arrays without changing any value. What is held across the
-stages per vehicle is its call count, 4 bytes.
+`CHUNK_CALLS` calls and vehicles together, so that neither the entry offsets
+nor the call positions of a chunk grow with the road at any rate:
+consecutive slices of one draw are that draw, so this bounds the work arrays
+without changing any value. What is held across the stages per vehicle is
+its call count, in the narrowest unsigned type that holds every draw: one
+byte when no vehicle's mean exceeds 64 calls (the paper's rates reach 12),
+else two.
 
 A call at instant t is binned on the series' 300-s grid (every timestamp
 lies on the grid of the first, t0): its slot is k = floor((t - t0) / 300),
@@ -72,12 +77,12 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, ShapeMismatch
+from .errors import BoundsError, ConfigError, ResourceExhausted, ShapeMismatch
 from .road import SLOT_SECONDS, RoadSeries
 
 DWELL_CAP_MIN = 60.0
 SPEED_FLOOR_MPH = 5.0
-CHUNK_CALLS = 1 << 16  # calls, or vehicles, drawn per block of whole intervals
+CHUNK_CALLS = 1 << 16  # vehicles, or calls and vehicles, drawn per block of whole intervals
 MAX_LAM = 1000.0  # requests per minute per vehicle; the paper's rates are 0.2 and 0.6
 
 
@@ -210,15 +215,19 @@ def _blocks(before: np.ndarray) -> list[tuple[int, int]]:
 def _per_vehicle_calls(rng, means, vehicles, first, blocks, per_vehicle):
     """Fill `per_vehicle` with new calls per vehicle, Poisson with its interval's mean.
 
-    Returns their per-interval sums. The counts are int32: a mean is at most
-    MAX_LAM * DWELL_CAP_MIN = 60 000, so a draw that reached 2^31 would lie
-    millions of standard deviations above it.
+    Returns their per-interval sums. A draw past what the unsigned type of
+    `per_vehicle` holds raises `BoundsError` instead of wrapping round.
     """
+    top = np.iinfo(per_vehicle.dtype).max
     per_interval = np.empty(len(vehicles), dtype=np.int64)
     for a, b in blocks:
-        own = per_vehicle[first[a] : first[b]]
-        own[:] = rng.poisson(np.repeat(means[a:b], vehicles[a:b]))
-        per_interval[a:b] = _interval_sums(own, vehicles, first, a, b)
+        drawn = rng.poisson(np.repeat(means[a:b], vehicles[a:b]))
+        if drawn.max(initial=0) > top:
+            raise BoundsError(
+                f"a vehicle drew {drawn.max()} calls, past the {top} of its {per_vehicle.dtype} count"
+            )
+        per_vehicle[first[a] : first[b]] = drawn
+        per_interval[a:b] = _interval_sums(drawn, vehicles, first, a, b)
     return per_interval
 
 
@@ -259,16 +268,23 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
 
     # The Poisson stage starts after the entry offsets and the handover flags.
     after = _jumped(rng, total_vehicles * (2 if handover else 1))
+    means = config.lam * dwell_min
+    # The narrowest unsigned type that holds every draw. A Poisson draw of mean
+    # m reaches k > m with probability below exp(-m) (e m / k)^k (Chernoff):
+    # under 1e-70 for 256 at m = 64, under 1e-100 for 2^16 at the largest
+    # mean, MAX_LAM * DWELL_CAP_MIN = 60 000. `_per_vehicle_calls` checks anyway.
     # Allocated here, not on the helper: in the helper thread's malloc arena a
     # freed block of this size was often not reused by the next, slightly
     # larger one, so repeated calls paged in a second copy of it.
-    per_vehicle = np.empty(total_vehicles, dtype=np.int32)
+    per_vehicle = np.empty(total_vehicles, dtype=np.uint8 if means.max() <= 64.0 else np.uint16)
     # Leaving the block, by a return or an error on either thread, joins the helper.
     with ThreadPoolExecutor(1, thread_name_prefix="simulate_calls") as helper:
-        drawn = helper.submit(
-            _per_vehicle_calls,
-            after, config.lam * dwell_min, vehicles, first, vehicle_blocks, per_vehicle,
-        )
+        try:  # the first submit starts the helper thread
+            drawn = helper.submit(
+                _per_vehicle_calls, after, means, vehicles, first, vehicle_blocks, per_vehicle
+            )
+        except RuntimeError as exc:  # "can't start new thread": out of threads or memory
+            raise ResourceExhausted(f"cannot start the simulate_calls helper thread: {exc}") from exc
         handovers()
         per_interval = drawn.result()
         calls_before = _starts(per_interval)
@@ -290,10 +306,13 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
                 call_abs = np.repeat(entry_abs, per_vehicle[first[a] : first[b]])
                 dwell = np.repeat(dwell_s[a:b], per_interval[a:b])
                 call_abs += gen.uniform(0.0, 1.0, len(call_abs)) * dwell
-                hits += np.bincount(grid.slots(call_abs), minlength=len(hits))
+                # No call lies before its chunk's first slot.
+                lo = grid.interval_slot[a]
+                span = np.bincount(grid.slots(call_abs) - lo)
+                hits[lo : lo + len(span)] += span
             return hits
 
-        chunks = _blocks(calls_before)
+        chunks = _blocks(first + calls_before)
         half = (len(chunks) + 1) // 2  # the late half is empty when there is one chunk
         cut = chunks[half - 1][1]  # the late half's first interval
         late = _jumped(rng, int(first[cut])), _jumped(after, int(calls_before[cut]))

@@ -10,6 +10,11 @@ def constant_series(timestamps, flow: int = 10, speed: float = 60.0) -> RoadSeri
     return RoadSeries(timestamps, np.full(n, flow), np.full(n, speed))
 
 
+def no_thread(thread):
+    """A `threading.Thread.start` for a process that has run out of threads."""
+    raise RuntimeError("can't start new thread")
+
+
 def steady_series(days: int, flow: int, speed: float, start: int = 0) -> RoadSeries:
     """Constant flow/speed series, used for simulator statistics."""
     timestamps = start + SLOT_SECONDS * np.arange(days * POINTS_PER_DAY)

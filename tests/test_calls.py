@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import steady_series
+from conftest import no_thread, steady_series
 from reference_calls import reference_simulate_calls
 from v2x_loadcast import calls as calls_module
 from v2x_loadcast.calls import (
@@ -19,7 +19,7 @@ from v2x_loadcast.calls import (
     expected_calls,
     simulate_calls,
 )
-from v2x_loadcast.errors import ConfigError
+from v2x_loadcast.errors import BoundsError, ConfigError, ResourceExhausted
 from v2x_loadcast.experiment import table_scenarios
 from v2x_loadcast.road import (
     POINTS_PER_DAY,
@@ -219,6 +219,20 @@ class TestTypes:
             CallSeries(np.array([1, -2, 3]))
 
 
+def record_count_buffers(monkeypatch) -> list[np.ndarray]:
+    """The per-vehicle call-count buffer of every `_per_vehicle_calls` call from now on."""
+    draw = calls_module._per_vehicle_calls
+    stored = []
+
+    def recorded(*args):
+        result = draw(*args)
+        stored.append(args[-1])  # the per-vehicle buffer the draw filled
+        return result
+
+    monkeypatch.setattr(calls_module, "_per_vehicle_calls", recorded)
+    return stored
+
+
 def gapped_series(seed: int, days: int, start: int, gaps: list[int]) -> RoadSeries:
     """Random day blocks, block d + 1 starting gaps[d] slots after block d ends.
 
@@ -233,9 +247,10 @@ def gapped_series(seed: int, days: int, start: int, gaps: list[int]) -> RoadSeri
 
 
 def simulate_in_chunks(series, config, parts, monkeypatch):
-    """`simulate_calls` with `CHUNK_CALLS` set to cut its calls into about `parts` chunks.
+    """`simulate_calls` with `CHUNK_CALLS` set to cut its calls and vehicles into about `parts` chunks.
 
-    Returns the result, the calls before each interval and the chunks cut.
+    Returns the result, the calls and vehicles before each interval, and the
+    chunks cut.
     """
     cut = calls_module._blocks
     seen = []  # (items before each interval, blocks) per call of `_blocks`
@@ -246,10 +261,10 @@ def simulate_in_chunks(series, config, parts, monkeypatch):
 
     monkeypatch.setattr(calls_module, "_blocks", recorded)
     simulate_calls(series, config)
-    total_calls = int(seen[-1][0][-1])  # the last call of `_blocks` cuts the calls
-    monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_calls // parts))
+    total_items = int(seen[-1][0][-1])  # the last call of `_blocks` cuts calls and vehicles
+    monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_items // parts))
     got = simulate_calls(series, config)
-    assert seen[-1][0][-1] == total_calls
+    assert seen[-1][0][-1] == total_items
     return (got, *seen[-1])
 
 
@@ -313,10 +328,11 @@ class TestAgainstReference:
         speeds = np.where(np.arange(n) < n // 2, 90.0, 10.0)
         series = RoadSeries(SLOT_SECONDS * np.arange(n), np.full(n, 6), speeds)
         cfg = ScenarioConfig(0.4, 0.3, 0.5, seed=8, exact_flow=True)
-        got, calls_before, chunks = simulate_in_chunks(series, cfg, 2, monkeypatch)
+        got, items_before, chunks = simulate_in_chunks(series, cfg, 2, monkeypatch)
         assert len(chunks) == 2
         middle = chunks[1][0]
-        assert n // 2 < middle < n and 6 * middle > 1.5 * calls_before[middle]
+        calls_before = items_before[middle] - 6 * middle
+        assert n // 2 < middle < n and 6 * middle > 1.5 * calls_before
         want = reference_simulate_calls(series, cfg)
         assert np.array_equal(got.counts, want.counts)
 
@@ -329,21 +345,38 @@ class TestAgainstReference:
                             np.full(POINTS_PER_DAY, 3.0))
         cfg = ScenarioConfig(MAX_LAM, 0.5, 5.0, seed=6, exact_flow=True)
         assert dwell_minutes(3.0, 5.0) == 60.0
-        draw = calls_module._per_vehicle_calls
-        stored = []
-
-        def recorded(*args):
-            result = draw(*args)
-            stored.append(args[-1])  # the per-vehicle buffer the draw filled
-            return result
-
-        monkeypatch.setattr(calls_module, "_per_vehicle_calls", recorded)
+        stored = record_count_buffers(monkeypatch)
         got = simulate_calls(series, cfg)
-        assert stored[0].dtype == np.int32 and len(stored[0]) == 12
+        assert stored[0].dtype == np.uint16 and len(stored[0]) == 12
         assert stored[0].min() > 2**15
         want = reference_simulate_calls(series, cfg)
         assert np.array_equal(got.counts, want.counts)
         assert got.counts.sum() > 12 * 2**15
+
+    def test_table_scenarios_fill_a_one_byte_buffer(self, monkeypatch):
+        # Stopped traffic raises every dwell to its cap, so the paper's rates
+        # reach their largest means: 12 calls per vehicle (lam 0.2 over the
+        # wide cell's 60 min) and 10.8 (lam 0.6 over 18 min), far inside the
+        # 64 up to which a byte is used.
+        stored = record_count_buffers(monkeypatch)
+        series = gapped_series(2, 2, 0, [0])
+        scenarios = [s for s in table_scenarios() if s.lam > 0]
+        largest = [s.lam * dwell_minutes(series.speeds, s.cell_range_miles).max() for s in scenarios]
+        assert max(largest) == pytest.approx(12.0) and sorted(largest)[-2] == pytest.approx(10.8)
+        for scenario in scenarios:
+            simulate_calls(series, scenario)
+        assert len(stored) == len(scenarios)
+        assert all(buffer.dtype == np.uint8 and len(buffer) > 0 for buffer in stored)
+
+    def test_draw_past_the_buffer_type_is_bounds_error(self):
+        # A mean of 1000 calls in a one-byte buffer would wrap round modulo 256.
+        vehicles = np.array([0, 5, 3])
+        first = calls_module._starts(vehicles)
+        buffer = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(BoundsError, match="past the 255 of its uint8 count"):
+            calls_module._per_vehicle_calls(
+                np.random.default_rng(1), np.full(3, 1000.0), vehicles, first, [(0, 3)], buffer
+            )
 
     @pytest.mark.parametrize("start", [0, 1_616_976_000])
     def test_slot_lookup_at_grid_points(self, start):
@@ -365,6 +398,15 @@ class TestAgainstReference:
 
 class TestThreads:
     """`simulate_calls` draws on a helper thread that never outlives the call."""
+
+    def test_helper_that_cannot_start_is_resource_exhausted(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        before = threading.active_count()
+        cfg = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5, seed=3)
+        with pytest.raises(ResourceExhausted, match="can't start new thread") as caught:
+            simulate_calls(steady_series(1, 40, 60.0), cfg)
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert threading.active_count() == before
 
     def test_no_thread_outlives_the_call(self):
         series = synthesize_road_series(2, 4)
@@ -431,20 +473,35 @@ class TestThreads:
         assert a.vehicles_total == b.vehicles_total
 
 
-class TestMemory:
-    """Peak memory `simulate_calls` holds per vehicle, as `tracemalloc` traces it."""
+def traced_peak(series, config) -> tuple[int, int]:
+    """The peak bytes `tracemalloc` traces while `simulate_calls` runs, and its vehicles."""
+    tracemalloc.start()
+    try:
+        calls = simulate_calls(series, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, calls.vehicles_total
 
-    @pytest.mark.parametrize("lam, bound", [(0.6, 16.0), (0.0, 2.0)])
-    def test_traced_peak_per_vehicle(self, lam, bound):
-        # A 4-byte count per vehicle and chunk-sized work arrays; with lam = 0
-        # only blocks of handover flags.
-        series = synthesize_road_series(20, 1)
+
+@pytest.fixture(scope="module")
+def roads_20_and_60_days():
+    return synthesize_road_series(20, 1), synthesize_road_series(60, 1)
+
+
+class TestMemory:
+    """Memory `simulate_calls` holds per vehicle, as `tracemalloc` traces it."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.001, 0.2, 0.6])
+    def test_marginal_traced_bytes_per_vehicle(self, roads_20_and_60_days, lam):
+        # What the 40 extra days add per extra vehicle: a one-byte count and
+        # a share of the per-interval arrays (with lam = 0, only the latter).
+        # The work arrays are cut on calls and vehicles, so they do not grow
+        # with the road, even at a rate so low that a chunk of calls alone
+        # would span almost every vehicle.
         cfg = ScenarioConfig(lam=lam, handover_prob=0.5, cell_range_miles=1.5, seed=4)
-        tracemalloc.start()
-        try:
-            calls = simulate_calls(series, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert calls.vehicles_total > 10**6
-        assert peak / calls.vehicles_total < bound
+        (peak20, vehicles20), (peak60, vehicles60) = (
+            traced_peak(series, cfg) for series in roads_20_and_60_days
+        )
+        assert vehicles60 - vehicles20 > 2 * 10**6
+        assert (peak60 - peak20) / (vehicles60 - vehicles20) < 2.0

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import no_thread
 import v2x_loadcast
 from v2x_loadcast import cli
 from v2x_loadcast.calls import MAX_LAM
@@ -360,6 +363,15 @@ def _no_memory(*args):
     np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
 
 
+class _NoMemoryForCli:
+    """An import finder under which importing `v2x_loadcast.cli` runs out of memory."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "v2x_loadcast.cli":
+            raise MemoryError("out of address space")
+        return None
+
+
 class TestDispatch:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
@@ -432,6 +444,27 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith("error: MemoryError: Unable to allocate"), err
+
+    def test_simulate_without_a_helper_thread_is_one_error_line(self, one_day_csv, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        code = dispatch(["simulate", "--road", str(one_day_csv), "--lambda", "0.2", "--h", "0.5",
+                         "--range", "1.5", "--out", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ResourceExhausted: cannot start the simulate_calls helper thread: "
+            "can't start new thread"
+        ]
+
+    def test_memory_error_importing_the_cli_is_one_error_line(self, monkeypatch, capsys):
+        # `python -m v2x_loadcast` under an address-space limit that the numpy
+        # import does not fit in.
+        monkeypatch.delitem(sys.modules, "v2x_loadcast.cli")
+        monkeypatch.setattr(sys, "meta_path", [_NoMemoryForCli(), *sys.meta_path])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("v2x_loadcast", run_name="__main__")
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: MemoryError: out of address space"]
 
     def test_simulate_writes_fused_csv(self, tmp_path):
         road = tmp_path / "road.csv"

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from v2x_loadcast.calls import ScenarioConfig
+from v2x_loadcast.calls import ScenarioConfig, simulate_calls
 from v2x_loadcast import experiment
 from v2x_loadcast.cli import dispatch
 from v2x_loadcast.errors import ConfigError, DegenerateFeature, EmptyBatch
@@ -239,6 +240,18 @@ class TestGrid:
         assert [row.report for row in rows] == [1, None, 3]
         assert rows[1].error.startswith("MemoryError: Unable to allocate"), rows[1].error
 
+    @pytest.mark.parametrize("workers", ROW_PATHS)
+    def test_row_without_a_helper_thread_recorded_grid_continues(self, road6, monkeypatch, workers):
+        monkeypatch.setattr(experiment, "run_experiment", _seed_or_simulate_on_seed_2)
+        monkeypatch.setattr(threading.Thread, "start", _start_unless_simulate_calls)
+        specs = grid_specs(table_scenarios()[:1], seeds=[1, 2, 3], modes=("net",))
+        use_row_path(monkeypatch, workers)
+        rows = run_scenario_grid(specs, road6)
+        assert [row.report for row in rows] == [1, None, 3]
+        assert rows[1].error == (
+            "ResourceExhausted: cannot start the simulate_calls helper thread: can't start new thread"
+        )
+
     def test_no_process_outlives_the_grid(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
         monkeypatch.setenv(experiment.THREADS_ENV, "2")
@@ -363,6 +376,22 @@ def _seed_or_no_memory_on_seed_2(spec, road):
     if spec.seed == 2:
         np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
     return spec.seed
+
+
+def _seed_or_simulate_on_seed_2(spec, road):
+    if spec.seed == 2:
+        simulate_calls(road, spec.scenario)
+    return spec.seed
+
+
+_start_thread = threading.Thread.start
+
+
+def _start_unless_simulate_calls(thread):
+    """`Thread.start`, except that a `simulate_calls` helper cannot start."""
+    if thread.name.startswith("simulate_calls"):
+        raise RuntimeError("can't start new thread")
+    _start_thread(thread)
 
 
 def _worker_pid_and_blas_threads(spec, road):
