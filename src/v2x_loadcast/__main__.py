@@ -4,8 +4,11 @@ import sys
 
 try:
     from .cli import main
-except MemoryError as exc:  # importing numpy can exhaust a tight address-space limit
-    print(f"error: MemoryError: {exc}", file=sys.stderr)
+except (ImportError, MemoryError) as exc:  # numpy missing, or a tight address-space limit
+    kind = "MemoryError" if isinstance(exc, MemoryError) else "ImportError"
+    while exc.__cause__ is not None:  # numpy wraps a failed C-extension load in a page of advice
+        exc = exc.__cause__
+    print(f"error: {kind}: {' '.join(str(exc).split())}", file=sys.stderr)
     sys.exit(1)
 
 if __name__ == "__main__":

@@ -139,7 +139,7 @@ def prepare_windows(
 
 def naive_baseline(windows: WindowSet) -> float:
     """Persistence floor: predict the last observed call count for every horizon step."""
-    last = windows.inputs[:, -1, -1]  # calls is always the last feature
+    last = windows.view[windows.starts, -1, -1]  # calls is always the last feature
     preds = np.repeat(last[:, None], windows.horizon, axis=1)
     return metric_mae(preds, windows.targets)
 

@@ -6,7 +6,9 @@ on the training split only. `MODE_COLUMNS` names the raw columns each
 feature mode feeds the network. Windows of M consecutive samples with the
 next T call counts as target are cut in one pass over all three splits:
 split boundaries and day gaps are marked in one break array, and no window
-holds a break strictly inside its span.
+holds a break strictly inside its span. No window is copied: a split set
+keeps a read-only strided view of the series and the start of each kept
+window, and gathers the windows of a batch when they are asked for.
 """
 
 from __future__ import annotations
@@ -105,23 +107,34 @@ def fit_normalizer(
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Contiguous sequence windows: inputs (k, M, d) and targets (k, T)."""
+    """k windows of M samples, picked by index from an array of every window.
 
-    inputs: np.ndarray
+    `view` is (N, M, d): from `make_windows`, the read-only sliding-window
+    view of the normalized series, so window i starts at sample i and no
+    window is copied. `starts` (k,) indexes the windows kept, `targets`
+    (k, T) holds each one's next T values.
+    """
+
+    view: np.ndarray
+    starts: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        if self.inputs.ndim != 3 or self.targets.ndim != 2:
-            raise ShapeMismatch("inputs must be (k, M, d) and targets (k, T)")
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ShapeMismatch("inputs and targets disagree on window count")
+        if self.view.ndim != 3 or self.starts.ndim != 1 or self.targets.ndim != 2:
+            raise ShapeMismatch("view must be (N, M, d), starts (k,) and targets (k, T)")
+        if self.starts.shape[0] != self.targets.shape[0]:
+            raise ShapeMismatch("starts and targets disagree on window count")
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.starts.shape[0]
+
+    def inputs(self, idx: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The (B, M, d) windows at positions `idx` of the set, gathered C-contiguous."""
+        return self.view[self.starts[idx]]
 
     @property
     def input_dim(self) -> int:
-        return self.inputs.shape[2]
+        return self.view.shape[2]
 
     @property
     def horizon(self) -> int:
@@ -162,7 +175,8 @@ def make_windows(
     `gap_indices` or the first sample of the val or test split. A window is
     kept when no break lies strictly inside its M+T span, so each split holds
     len_split - M - T + 1 windows when gap-free. Raises InsufficientData when
-    a split keeps none.
+    a split keeps none. The three sets share one read-only view of x instead
+    of copies of its windows, so x must not be written while they are in use.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -190,11 +204,11 @@ def make_windows(
     cuts = np.searchsorted(starts, bounds)
     if not 0 < cuts[0] < cuts[1] < len(starts):
         raise InsufficientData(f"a split holds no window of {m}+{t} samples clear of every break")
-    # Fancy indexing copies the kept windows into C-contiguous arrays.
-    inputs = sliding_window_view(x, (m, x.shape[1]))[starts, 0]
+    # Every split shares one read-only view of x; only the targets are copied.
+    view = sliding_window_view(x, (m, x.shape[1]))[:, 0]
     targets = sliding_window_view(y, t)[starts + m]
     return SplitWindows(
-        *(WindowSet(i, o) for i, o in zip(np.split(inputs, cuts), np.split(targets, cuts)))
+        *(WindowSet(view, s, o) for s, o in zip(np.split(starts, cuts), np.split(targets, cuts)))
     )
 
 

@@ -12,6 +12,7 @@ collapse under congestion) for runs without a real measurement CSV.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -191,7 +192,7 @@ def _parse_speed(text: str, line: int) -> float:
         value = float(text)
     except ValueError as exc:
         raise MalformedRow(f"line {line}: bad speed {text!r}") from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise MalformedRow(f"line {line}: non-finite speed {text!r}")
     if value < 0 or value > SPEED_MAX_MPH:
         raise BoundsError(f"line {line}: speed {text!r} outside [0, {SPEED_MAX_MPH}]")
@@ -227,27 +228,34 @@ def parse_road_csv(
 
     # An undecodable byte becomes U+FFFD, which no parsed field accepts.
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header = reader.fieldnames or []
+            header = next(reader, [])
             missing = [c for c in names.values() if c not in header]
             if missing:
                 raise MalformedRow(f"header {header} lacks required column(s) {missing}")
+            # A repeated name reads its last column; a short row reads "" past its end.
+            column = {name: i for i, name in enumerate(header)}
+            t_col, f_col, s_col = (column[names[c]] for c in ("timestamp", "flow", "speed"))
+            width = max(t_col, f_col, s_col) + 1
             stamps: list[int] = []
             flows: list[int] = []
             speeds: list[float] = []
-            for line, row in enumerate(reader, start=2):
-                ts = _parse_timestamp(row[names["timestamp"]] or "", line)
+            # Rows are numbered from the header on; a blank line is no row.
+            for line, row in enumerate(filter(None, reader), start=2):
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                ts = _parse_timestamp(row[t_col], line)
                 if ts % SLOT_SECONDS != 0:
                     raise MalformedRow(
                         f"line {line}: timestamp {ts} not aligned to the {SLOT_SECONDS}s slot grid"
                     )
                 stamps.append(ts)
-                flows.append(_parse_flow(row[names["flow"]] or "", line))
-                speeds.append(_parse_speed(row[names["speed"]] or "", line))
+                flows.append(_parse_flow(row[f_col], line))
+                speeds.append(_parse_speed(row[s_col], line))
         except csv.Error as exc:  # a field over the csv module's size limit, say
-            # The inner reader's count includes the line that failed; DictReader's does not.
-            raise MalformedRow(f"line {reader.reader.line_num}: {exc}") from None
+            # The reader's count includes the line that failed, blank lines too.
+            raise MalformedRow(f"line {reader.line_num}: {exc}") from None
 
     if not stamps:
         raise GapError("CSV contains no data rows")

@@ -63,7 +63,7 @@ DIVERGED_MAE_RATIO = 1e3
 def evaluate_mae(params: ModelParameters, windows: WindowSet) -> float:
     preds = np.concatenate(
         [
-            predict(params, windows.inputs[s : s + EVAL_BATCH])
+            predict(params, windows.inputs(slice(s, s + EVAL_BATCH)))
             for s in range(0, len(windows), EVAL_BATCH)
         ]
     )
@@ -103,7 +103,7 @@ def train_forecaster(
         batch_losses = []
         for s in range(0, len(order), config.batch_size):
             idx = order[s : s + config.batch_size]
-            preds, trace = forward(params, train.inputs[idx])
+            preds, trace = forward(params, train.inputs(idx))
             batch_losses.append(loss_mse(preds, train.targets[idx]))
             grads = backward(params, trace, train.targets[idx])
             rmsprop_step(params, grads, state)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import golden
 from v2x_loadcast.road import POINTS_PER_DAY, SLOT_SECONDS, RoadSeries
 
 
@@ -33,3 +34,14 @@ def one_day_csv(tmp_path_factory):
         lines.append(f"{k * SLOT_SECONDS},{flow},{speed}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture(scope="session")
+def road20():
+    return golden.road20()
+
+
+@pytest.fixture(scope="session")
+def trend_reports(road20):
+    """All runs behind acceptance criteria 3-5, also checked against golden.json."""
+    return golden.trend_reports(road20)

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines. The trend criteria (3-5) share one cached batch of
-experiment runs on the 20-day seed-fixed synthetic road.
+experiment runs on the 20-day seed-fixed synthetic road (the session
+fixtures `road20` and `trend_reports` in conftest.py).
 """
 
 import time
@@ -11,47 +12,19 @@ import numpy as np
 import pytest
 
 from conftest import steady_series
+from golden import TREND_SEEDS as SEEDS
 from v2x_loadcast.calls import ScenarioConfig, expected_calls, simulate_calls
 from v2x_loadcast.cli import dispatch
-from v2x_loadcast.experiment import ExperimentSpec, run_scenario_grid
+from v2x_loadcast.experiment import ExperimentSpec
 from v2x_loadcast.features import FEATURE_NAMES, discretize_speed, fit_normalizer
 from v2x_loadcast.gradcheck import check_random_model
 from v2x_loadcast.metrics import loss_mse, metric_mae
-from v2x_loadcast.rng import derive_int
-from v2x_loadcast.road import synthesize_road_series
 
-SEEDS = (1, 2, 3)
-ROOT_SEED = 1
 MAJORITY = 2
 
 
 def announce(criterion: str, passed: bool, detail: str) -> None:
     print(f"[acceptance] {'PASS' if passed else 'FAIL'} {criterion}: {detail}", flush=True)
-
-
-@pytest.fixture(scope="module")
-def road20():
-    return synthesize_road_series(20, derive_int(ROOT_SEED, "synth"))
-
-
-@pytest.fixture(scope="module")
-def trend_reports(road20):
-    """All runs behind criteria 3-5: {(scenario_key, mode, seed): RunReport}."""
-    scenarios = {
-        "base": ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5),
-        "h0": ScenarioConfig(lam=0.2, handover_prob=0.0, cell_range_miles=1.5),
-        "h1": ScenarioConfig(lam=0.2, handover_prob=1.0, cell_range_miles=1.5),
-        "wide": ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=6.0),
-    }
-    wanted = [("base", "net"), ("base", "net_road"), ("h0", "net_road"),
-              ("h1", "net_road"), ("wide", "net_road")]
-    keys = [(key, mode, seed) for key, mode in wanted for seed in SEEDS]
-    rows = run_scenario_grid(
-        [ExperimentSpec(scenarios[key], mode, seed=seed) for key, mode, seed in keys], road20
-    )
-    failed = [f"{key}: {row.error}" for key, row in zip(keys, rows) if row.report is None]
-    assert not failed, failed
-    return {key: row.report for key, row in zip(keys, rows)}
 
 
 def test_criterion_1_gradient_correctness():

@@ -363,13 +363,23 @@ def _no_memory(*args):
     np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
 
 
-class _NoMemoryForCli:
-    """An import finder under which importing `v2x_loadcast.cli` runs out of memory."""
+class _CliImportFails:
+    """An import finder under which importing `v2x_loadcast.cli` raises `error`."""
+
+    def __init__(self, error):
+        self.error = error
 
     def find_spec(self, name, path=None, target=None):
         if name == "v2x_loadcast.cli":
-            raise MemoryError("out of address space")
+            raise self.error
         return None
+
+
+def _numpy_extension_error():
+    """The ImportError numpy raises when its C extensions fail to load: a page of advice."""
+    error = ImportError("\n\nIMPORTANT: PLEASE READ THIS FOR ADVICE\n\nOriginal error was: ...")
+    error.__cause__ = ImportError("libgfortran.so.5: failed to map segment from shared object")
+    return error
 
 
 class TestDispatch:
@@ -460,11 +470,42 @@ class TestDispatch:
         # `python -m v2x_loadcast` under an address-space limit that the numpy
         # import does not fit in.
         monkeypatch.delitem(sys.modules, "v2x_loadcast.cli")
-        monkeypatch.setattr(sys, "meta_path", [_NoMemoryForCli(), *sys.meta_path])
+        error = MemoryError("out of address space")
+        monkeypatch.setattr(sys, "meta_path", [_CliImportFails(error), *sys.meta_path])
         with pytest.raises(SystemExit) as exited:
             runpy.run_module("v2x_loadcast", run_name="__main__")
         assert exited.value.code == 1
         assert capsys.readouterr().err.splitlines() == ["error: MemoryError: out of address space"]
+
+    def test_numpy_extension_import_error_is_its_cause_on_one_line(self, monkeypatch, capsys):
+        # Under a lower address-space limit numpy's bundled libgfortran fails
+        # to map, and numpy wraps that in a multi-line ImportError.
+        monkeypatch.delitem(sys.modules, "v2x_loadcast.cli")
+        error = _numpy_extension_error()
+        monkeypatch.setattr(sys, "meta_path", [_CliImportFails(error), *sys.meta_path])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("v2x_loadcast", run_name="__main__")
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ImportError: libgfortran.so.5: failed to map segment from shared object"
+        ]
+
+    def test_import_error_importing_the_cli_is_one_error_line(self):
+        # `python -m v2x_loadcast --version` where numpy cannot be imported,
+        # as when its shared libraries fail to map under an address-space limit.
+        src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import runpy, sys; sys.modules['numpy'] = None; sys.argv[1:] = ['--version']; "
+            "runpy.run_module('v2x_loadcast', run_name='__main__', alter_sys=True)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 1 and run.stdout == ""
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ImportError: ") and "numpy" in line
 
     def test_simulate_writes_fused_csv(self, tmp_path):
         road = tmp_path / "road.csv"

@@ -114,18 +114,18 @@ class TestBaseline:
     def test_constant_series_gives_zero_mae(self):
         inputs = np.full((7, 4, 1), 3.3)
         targets = np.full((7, 1), 3.3)
-        assert naive_baseline(WindowSet(inputs, targets)) == 0.0
+        assert naive_baseline(WindowSet(inputs, np.arange(7), targets)) == 0.0
 
     def test_alternating_series_error_is_step_size(self):
         # Series 0,1,0,1,...; persistence is wrong by exactly 1 at every step.
         series = np.array([0.0, 1.0] * 8)
         inputs = np.stack([series[i : i + 4] for i in range(10)])[:, :, None]
         targets = series[4:14, None]
-        assert naive_baseline(WindowSet(inputs, targets)) == 1.0
+        assert naive_baseline(WindowSet(inputs, np.arange(10), targets)) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyBatch):
-            naive_baseline(WindowSet(np.zeros((0, 3, 1)), np.zeros((0, 1))))
+            naive_baseline(WindowSet(np.zeros((0, 3, 1)), np.arange(0), np.zeros((0, 1))))
 
     def test_trained_model_beats_persistence(self, road6):
         config = TrainingConfig(hidden_size=16, max_epochs=10, patience=4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,7 +116,7 @@ class TestWindows:
         x = np.arange(60.0)
         split = make_windows(x, x, 18, 1, (1, 1, 1), 20)
         assert [len(ws) for ws in split] == [2, 2, 2]
-        assert split.train.inputs.shape[1] == 18 and split.train.horizon == 1
+        assert split.train.inputs().shape[1] == 18 and split.train.horizon == 1
 
     def test_boundary_insufficient(self):
         x = np.arange(54.0)
@@ -133,9 +135,10 @@ class TestWindows:
     def test_windows_are_contiguous_slices(self):
         x = np.arange(120.0)
         for ws in make_windows(x, x, 5, 2, (1, 1, 1), 40):
+            inputs = ws.inputs()
             for k in range(len(ws)):
-                start = ws.inputs[k, 0, 0]
-                assert np.array_equal(ws.inputs[k, :, 0], np.arange(start, start + 5))
+                start = inputs[k, 0, 0]
+                assert np.array_equal(inputs[k, :, 0], np.arange(start, start + 5))
                 assert np.array_equal(ws.targets[k], np.arange(start + 5, start + 7))
 
     def test_no_window_crosses_split_boundary(self):
@@ -146,9 +149,9 @@ class TestWindows:
         train_end = train_days * 288
         val_end = train_end + val_days * 288
         assert split.train.targets.max() < train_end
-        assert split.val.inputs.min() >= train_end
+        assert split.val.inputs().min() >= train_end
         assert split.val.targets.max() < val_end
-        assert split.test.inputs.min() >= val_end
+        assert split.test.inputs().min() >= val_end
 
     def test_gap_windows_match_brute_force(self):
         n, m, t = 60, 6, 2
@@ -162,7 +165,7 @@ class TestWindows:
             for s in range(n - m - t + 1)
             if not any(s < g < s + m + t for g in breaks)
         ]
-        got = np.concatenate([ws.inputs[:, 0, 0] for ws in split])
+        got = np.concatenate([ws.inputs()[:, 0, 0] for ws in split])
         assert got.astype(int).tolist() == expected
 
     @settings(max_examples=200, deadline=None)
@@ -178,8 +181,10 @@ class TestWindows:
     )
     def test_windows_match_stacked_slices(self, slots, days, ratios, d, m, t, gaps, strided):
         # Per split, the windows equal the stacked slices at every start with
-        # no split boundary or gap strictly inside, and come back C-contiguous
-        # even from a strided column view. A split with no such start raises.
+        # no split boundary or gap strictly inside, gathered whole or as a
+        # shuffled batch, and come back C-contiguous even from a strided
+        # column view, which every split set shares instead of copying it. A
+        # split with no such start raises.
         n = slots * days
         rng = np.random.default_rng(n * 1000 + d)
         wide = rng.normal(size=(n, d + 2))
@@ -203,9 +208,26 @@ class TestWindows:
             return
         split = make_windows(x, y, m, t, ratios, slots, gaps)
         for ws, starts in zip(split, per_split):
-            assert np.array_equal(ws.inputs, np.stack([x[s : s + m] for s in starts]))
+            assert np.shares_memory(ws.view, x)
+            idx = rng.permutation(len(starts))[: (len(starts) + 1) // 2]
+            for batch, picked in ((ws.inputs(), starts), (ws.inputs(idx), [starts[i] for i in idx])):
+                assert np.array_equal(batch, np.stack([x[s : s + m] for s in picked]))
+                assert batch.flags.c_contiguous
             assert np.array_equal(ws.targets, np.stack([y[s + m : s + span] for s in starts]))
-            assert ws.inputs.flags.c_contiguous and ws.targets.flags.c_contiguous
+            assert ws.targets.flags.c_contiguous
+
+    def test_windows_are_not_copied(self):
+        # A copy of every 18-sample window of 100 days would take 12.4 MB,
+        # 18 times the series.
+        x = np.random.default_rng(0).normal(size=(100 * 288, 3))
+        tracemalloc.start()
+        try:
+            split = make_windows(x, x[:, -1], 18, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
+        assert all(np.shares_memory(ws.view, x) and not ws.view.flags.writeable for ws in split)
 
     def test_split_requires_whole_days(self):
         x = np.arange(100.0)
@@ -261,8 +283,8 @@ class TestFusion:
     [
         lambda: CallSeries(np.zeros((2, 2), dtype=np.int64)),
         lambda: CallSeries(np.array([1, -2, 3])),
-        lambda: WindowSet(np.zeros((2, 3)), np.zeros((2, 1))),
-        lambda: WindowSet(np.zeros((2, 3, 1)), np.zeros((3, 1))),
+        lambda: WindowSet(np.zeros((2, 3)), np.arange(2), np.zeros((2, 1))),
+        lambda: WindowSet(np.zeros((2, 3, 1)), np.arange(2), np.zeros((3, 1))),
         lambda: make_windows(np.arange(30.0), np.arange(30.0), 0, 1, (1, 1, 1), 10),
         lambda: discretize_speed(-1.0),
         lambda: discretize_speeds(np.array([10.0, np.nan])),

@@ -150,6 +150,34 @@ class TestParse:
         with pytest.raises(MalformedRow):
             parse_road_csv(path)
 
+    def test_blank_rows_are_skipped_and_not_counted(self, tmp_path):
+        # A blank line is no row: the day parses as without it, and a bad row
+        # after blank lines is named by its place among the rows.
+        rows = [f"{k * SLOT_SECONDS},{k},60" for k in range(POINTS_PER_DAY)]
+        blank = write_csv(tmp_path / "blank.csv", rows[:3] + ["", ""] + rows[3:])
+        assert same_columns(parse_road_csv(blank), parse_road_csv(write_csv(tmp_path / "a.csv", rows)))
+        path = write_csv(tmp_path / "bad.csv", ["0,10,60", "", "", "300,ten,60"])
+        with pytest.raises(MalformedRow, match=r"^line 3: bad flow 'ten'$"):
+            parse_road_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            ("timestamp,flow,speed", ["0,10,60", "300,12"], "line 3: bad speed ''"),
+            ("flow,speed,timestamp", ["10,60,0", "12,60"], "line 3: bad timestamp ''"),
+        ],
+    )
+    def test_short_row_reads_missing_fields_as_empty(self, tmp_path, header, rows, message):
+        path = write_csv(tmp_path / "short.csv", rows, header=header)
+        with pytest.raises(MalformedRow) as exc:
+            parse_road_csv(path)
+        assert str(exc.value) == message
+
+    def test_repeated_header_name_takes_its_last_column(self, tmp_path):
+        rows = [f"{k * SLOT_SECONDS},ten,{k},60" for k in range(POINTS_PER_DAY)]
+        path = write_csv(tmp_path / "twice.csv", rows, header="timestamp,flow,flow,speed")
+        assert parse_road_csv(path).flows.tolist() == list(range(POINTS_PER_DAY))
+
     @settings(max_examples=60, deadline=None)
     @given(
         first_day=st.sampled_from([0, 18_715, 47_482]),  # 1970, 2021 and 2100 (epochs > 2^31)

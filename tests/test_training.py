@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import unfolded_nn
 from v2x_loadcast import nn, training
@@ -18,9 +19,9 @@ def last_value_windows(n, m, seed, horizon=1):
     """Windows over a random sequence whose target is the last input value."""
     rng = np.random.default_rng(seed)
     series = rng.normal(0.0, 1.0, n + m + horizon)
-    inputs = np.stack([series[i : i + m] for i in range(n)])[:, :, None]
-    targets = inputs[:, -1, :].repeat(horizon, axis=1)
-    return WindowSet(inputs, targets)
+    view = sliding_window_view(series[:, None], (m, 1))[:, 0]
+    targets = series[m - 1 : m - 1 + n, None].repeat(horizon, axis=1)
+    return WindowSet(view, np.arange(n), targets)
 
 
 def test_mse_drops_below_1e3_within_2000_steps():
@@ -32,11 +33,11 @@ def test_mse_drops_below_1e3_within_2000_steps():
     reached = None
     for step in range(2000):
         idx = rng.integers(0, len(windows), 32)
-        preds, trace = forward(params, windows.inputs[idx])
+        preds, trace = forward(params, windows.inputs(idx))
         grads = backward(params, trace, windows.targets[idx])
         rmsprop_step(params, grads, state)
         if step % 100 == 99:
-            full_preds, _ = forward(params, windows.inputs)
+            full_preds, _ = forward(params, windows.inputs())
             if loss_mse(full_preds, windows.targets) < 1e-3:
                 reached = step + 1
                 break
@@ -78,7 +79,7 @@ def test_early_stopping_keeps_best_epoch_weights():
 
 def test_empty_windows_rejected():
     train = last_value_windows(10, 5, seed=8)
-    empty = WindowSet(np.zeros((0, 5, 1)), np.zeros((0, 1)))
+    empty = WindowSet(np.zeros((0, 5, 1)), np.arange(0), np.zeros((0, 1)))
     with pytest.raises(InsufficientData):
         train_forecaster(train, empty, TrainingConfig(), np.random.default_rng(0))
 
@@ -97,7 +98,7 @@ def test_training_bit_identical_to_unfolded_forward(cell, monkeypatch):
         for name in ("forward", "predict"):
             monkeypatch.setattr(training, name, getattr(kernel, name))
         result = train_forecaster(train, val, config, np.random.default_rng(5))
-        _, trace = kernel.forward(result.params, test.inputs)
+        _, trace = kernel.forward(result.params, test.inputs())
         grads = backward(result.params, trace, test.targets)
         runs[kernel] = (result, evaluate_mae(result.params, test), grads)
     (got, got_mae, got_grads), (ref, ref_mae, ref_grads) = runs[nn], runs[unfolded_nn]
@@ -111,7 +112,7 @@ def test_training_bit_identical_to_unfolded_forward(cell, monkeypatch):
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
 def test_nan_targets_raise_diverged(cell):
     train = last_value_windows(64, 5, seed=10)
-    train = WindowSet(train.inputs, np.full_like(train.targets, np.nan))
+    train = replace(train, targets=np.full_like(train.targets, np.nan))
     val = last_value_windows(16, 5, seed=11)
     config = TrainingConfig(cell=cell, hidden_size=4, max_epochs=3)
     with pytest.raises(Diverged, match="epoch 1: mean training loss nan, "):
@@ -130,7 +131,7 @@ def test_huge_learning_rate_raises_diverged(cell):
 def test_nan_validation_targets_raise_diverged():
     train = last_value_windows(64, 5, seed=12)
     val = last_value_windows(16, 5, seed=13)
-    val = WindowSet(val.inputs, np.full_like(val.targets, np.nan))
+    val = replace(val, targets=np.full_like(val.targets, np.nan))
     message = r"epoch 1: mean training loss [0-9.e+-]+, validation MAE nan$"
     with pytest.raises(Diverged, match=message):
         train_forecaster(train, val, TrainingConfig(hidden_size=4), np.random.default_rng(0))
