@@ -1,4 +1,4 @@
-"""`python -m v2x_loadcast ...` runs the command-line interface."""
+"""`python -m v2x_loadcast ...` and the installed `v2x-loadcast` run the CLI through this guard."""
 
 import sys
 

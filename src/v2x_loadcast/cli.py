@@ -3,7 +3,8 @@
 Subcommands: ingest, synth, simulate, run, grid, gradcheck, report. Every
 subcommand is deterministic given its seed inputs; `run`/`grid` write a
 deterministic metrics CSV plus one JSON report per run. Failures print one
-machine-readable `error: <Kind>: <message>` line and exit non-zero.
+machine-readable `error: <Kind>: <message>` line (see `errors.describe`) and
+exit 2 for a ConfigError, 1 for any other.
 """
 
 from __future__ import annotations
@@ -17,18 +18,32 @@ from pathlib import Path
 from . import __version__
 from .calls import ScenarioConfig, simulate_calls
 from .config import AppConfig
-from .errors import ConfigError, LoadcastError, MalformedReport
+from .errors import ConfigError, LoadcastError, MalformedReport, describe
 from .experiment import GridRow, comparison_table, run_scenario_grid
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, check_random_model
 from .rng import derive_int
 from .road import parse_road_csv, serialize_road_csv, synthesize_road_series
 
-METRICS_HEADER = "scenario_id,lambda,h,range,mode,seed,test_mae,val_mae,epochs"
+# (CSV column, RunReport field) pairs. The run key leads every CSV row.
+RUN_KEY = (
+    ("scenario_id", "scenario_id"), ("lambda", "lam"), ("h", "handover_prob"),
+    ("range", "cell_range_miles"), ("mode", "mode"), ("seed", "seed"),
+)
+METRICS_COLUMNS = (*RUN_KEY, ("test_mae", "test_mae"), ("val_mae", "val_mae"), ("epochs", "epochs"))
+EPOCH_COLUMNS = (("train_loss", "train_losses"), ("val_mae", "val_maes"))  # one value per epoch
 MAX_GRADCHECK_SEEDS = 100_000  # a few minutes of checks; a larger count is a typo
 
 
 def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _header(columns) -> str:
+    return ",".join(name for name, _ in columns)
+
+
+def _csv_row(values) -> str:
+    return ",".join(map(_fmt, values))
 
 
 def _parse_column_map(text: str) -> dict[str, str]:
@@ -59,8 +74,7 @@ def _load_config(args: argparse.Namespace) -> AppConfig:
 
 def _load_road(config: AppConfig):
     if config.road_csv:
-        impute = "hold" if config.impute == "hold" else None
-        return parse_road_csv(config.road_csv, impute=impute)
+        return parse_road_csv(config.road_csv, impute=config.impute)
     return synthesize_road_series(config.days, derive_int(config.seed, "synth"))
 
 
@@ -106,7 +120,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _write_outputs(rows: list[GridRow], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [METRICS_HEADER]
+    lines = [_header(METRICS_COLUMNS)]
     failed = 0
     for row in rows:
         if row.report is None:
@@ -118,21 +132,7 @@ def _write_outputs(rows: list[GridRow], out_dir: Path) -> None:
             failed += 1
             continue
         r = row.report
-        lines.append(
-            ",".join(
-                [
-                    r.scenario_id,
-                    _fmt(r.lam),
-                    _fmt(r.handover_prob),
-                    _fmt(r.cell_range_miles),
-                    r.mode,
-                    str(r.seed),
-                    _fmt(r.test_mae),
-                    _fmt(r.val_mae),
-                    str(r.epochs),
-                ]
-            )
-        )
+        lines.append(_csv_row(getattr(r, field) for _, field in METRICS_COLUMNS))
         report_path = out_dir / f"{r.scenario_id}_{r.mode}_seed{r.seed}.json"
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(r.to_dict(), fh, indent=1)
@@ -180,36 +180,23 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _report_rows(payload: dict) -> list[str]:
     """One CSV row per epoch of a JSON run report."""
-    return [
-        ",".join(
-            [
-                payload["scenario_id"],
-                _fmt(payload["lam"]),
-                _fmt(payload["handover_prob"]),
-                _fmt(payload["cell_range_miles"]),
-                payload["mode"],
-                str(payload["seed"]),
-                str(epoch),
-                _fmt(loss),
-                _fmt(mae),
-            ]
-        )
-        for epoch, (loss, mae) in enumerate(
-            zip(payload["train_losses"], payload["val_maes"]), start=1
-        )
-    ]
+    key = [payload[field] for _, field in RUN_KEY]
+    if not all(isinstance(payload[field], str) for field in ("scenario_id", "mode")):
+        raise TypeError("scenario_id and mode must be strings")
+    epochs = zip(*(payload[field] for _, field in EPOCH_COLUMNS))
+    return [_csv_row([*key, epoch, *values]) for epoch, values in enumerate(epochs, start=1)]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.runs).glob("*.json"))
     if not paths:
         raise ConfigError(f"no JSON reports under {args.runs}")
-    lines = ["scenario_id,lambda,h,range,mode,seed,epoch,train_loss,val_mae"]
+    lines = [f"{_header(RUN_KEY)},epoch,{_header(EPOCH_COLUMNS)}"]
     for path in paths:
         try:
             lines.extend(_report_rows(json.loads(path.read_text(encoding="utf-8"))))
         except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a run report
-            raise MalformedReport(f"{path}: {type(exc).__name__}: {exc}") from None
+            raise MalformedReport(f"{path}: {describe(exc)}") from None
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.out}: {len(lines) - 1} epoch rows from {len(paths)} run(s)")
     return 0
@@ -238,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate a road measurement CSV")
     p.add_argument("--input", required=True, help="road CSV (timestamp,flow,speed)")
-    p.add_argument("--impute", choices=["hold"], default=None,
+    p.add_argument("--impute", choices=["hold"], default="none",
                    help="fill missing 5-minute slots by repeating the previous record")
     p.add_argument("--map", default=None, metavar="timestamp=COL,flow=COL,speed=COL",
                    help="rename CSV columns to the documented schema")
@@ -298,18 +285,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"error: ConfigError: {exc}", file=sys.stderr)
-        return 2
-    except LoadcastError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # numpy raises a private subclass; name the public one
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
-        return 1
+    except (LoadcastError, OSError, MemoryError) as exc:
+        print(f"error: {describe(exc)}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main() -> None:

@@ -1,8 +1,16 @@
 """Exception types shared across the toolkit.
 
 Every error raised on purpose derives from LoadcastError so callers (and the
-CLI) can distinguish domain failures from bugs.
+CLI) can distinguish domain failures from bugs. `describe` is the one place
+that turns an exception into the `Kind: message` text of an error line.
 """
+
+
+def describe(exc: BaseException) -> str:
+    """`Kind: message` on one line: the public class name, each line break a space."""
+    # numpy raises a private MemoryError subclass; name the public one.
+    kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    return f"{kind}: {' '.join(str(exc).splitlines())}"
 
 
 class LoadcastError(Exception):

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .calls import ScenarioConfig, simulate_calls
-from .errors import ConfigError, LoadcastError, WorkerDied
+from .errors import ConfigError, LoadcastError, WorkerDied, describe
 from .features import (
     FEATURE_NAMES,
     MODE_COLUMNS,
@@ -96,10 +96,6 @@ class RunReport:
 
     def to_dict(self) -> dict[str, Any]:
         return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RunReport":
-        return cls(**payload)
 
 
 def derive_scenario(spec: ExperimentSpec) -> ScenarioConfig:
@@ -217,17 +213,11 @@ def openblas_function(names: Sequence[str]):
     return None
 
 
-def _failed_row(spec: ExperimentSpec, exc: LoadcastError) -> GridRow:
-    return GridRow(spec, error=f"{type(exc).__name__}: {exc}")
-
-
 def _grid_row(spec: ExperimentSpec, road: RoadSeries) -> GridRow:
     try:
         return GridRow(spec, report=run_experiment(spec, road))
-    except LoadcastError as exc:
-        return _failed_row(spec, exc)
-    except MemoryError as exc:  # numpy raises a private subclass; name the public one
-        return GridRow(spec, error=f"MemoryError: {exc}")
+    except (LoadcastError, MemoryError) as exc:
+        return GridRow(spec, error=describe(exc))
 
 
 _worker_road: RoadSeries | None = None  # the grid's road, in a forked worker
@@ -282,7 +272,7 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
             try:
                 rows.append(future.result())
             except BrokenProcessPool as exc:
-                rows.append(_failed_row(spec, WorkerDied(str(exc))))
+                rows.append(GridRow(spec, error=describe(WorkerDied(str(exc)))))
         return rows
 
 

@@ -207,7 +207,7 @@ def _slot_iso(slot: int) -> str:
 def parse_road_csv(
     path: str,
     column_map: dict[str, str] | None = None,
-    impute: str | None = None,
+    impute: str = "none",
 ) -> RoadSeries:
     """Read a `timestamp,flow,speed` CSV into a validated RoadSeries.
 
@@ -217,7 +217,7 @@ def parse_road_csv(
     GapError unless `impute="hold"`, which repeats the most recent earlier
     record into each missing slot.
     """
-    if impute not in (None, "hold"):
+    if impute not in ("none", "hold"):
         raise ConfigError(f"unknown impute mode {impute!r}")
     names = {"timestamp": "timestamp", "flow": "flow", "speed": "speed"}
     if column_map:
@@ -271,7 +271,7 @@ def parse_road_csv(
     slots = (days[:, None] * 86_400 + np.arange(POINTS_PER_DAY) * SLOT_SECONDS).ravel()
     at = np.searchsorted(ts, slots, side="right") - 1
     gap = at < 0
-    if impute is None:
+    if impute == "none":
         gap |= ts[at] != slots
     if gap.any():
         slot = int(slots[np.argmax(gap)])

@@ -23,7 +23,7 @@ from v2x_loadcast.calls import MAX_LAM
 from v2x_loadcast.cli import MAX_GRADCHECK_SEEDS, build_parser, dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
 from v2x_loadcast.road import MAX_SYNTH_DAYS
-from v2x_loadcast.errors import ConfigError
+from v2x_loadcast.errors import ConfigError, GapError
 from v2x_loadcast.training import MAX_HIDDEN_SIZE
 
 SMALL_RUN = """
@@ -375,6 +375,39 @@ class _CliImportFails:
         return None
 
 
+def _raises(error):
+    """A subcommand that fails with `error`."""
+    def command(args):
+        raise error
+    return command
+
+
+def _missing_runs(tmp_path):
+    return ["report", "--runs", str(tmp_path / "no\nsuch"), "--out", str(tmp_path / "x.csv")]
+
+
+def _bad_config(tmp_path):
+    return ["run", "--config", str(write_config(tmp_path, "no key here", name="bad\nrun.cfg"))]
+
+
+def _malformed_report(tmp_path):
+    runs = tmp_path / "bad\nruns"
+    runs.mkdir()
+    (runs / "r.json").write_text("{")
+    return ["report", "--runs", str(runs), "--out", str(tmp_path / "x.csv")]
+
+
+def _src_env() -> dict[str, str]:
+    """This process's environment with the package's source directory on PYTHONPATH."""
+    src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _console_script_target() -> str:
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^v2x-loadcast = "(.+)"$', pyproject, re.MULTILINE).group(1)
+
+
 def _numpy_extension_error():
     """The ImportError numpy raises when its C extensions fail to load: a page of advice."""
     error = ImportError("\n\nIMPORTANT: PLEASE READ THIS FOR ADVICE\n\nOriginal error was: ...")
@@ -390,12 +423,9 @@ class TestDispatch:
         assert {"run", "grid", "gradcheck"} <= set(listed)
 
     def test_python_dash_m_entry(self, tmp_path):
-        src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         run = lambda *argv: subprocess.run(
             [sys.executable, "-m", "v2x_loadcast", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=_src_env(), capture_output=True, text=True, timeout=60,
         )
         shown = run("--help")
         assert shown.returncode == 0 and "usage:" in shown.stdout
@@ -403,6 +433,54 @@ class TestDispatch:
         assert bad.returncode == 2
         assert bad.stderr.strip().splitlines() == [bad.stderr.strip()]
         assert bad.stderr.startswith("error: ConfigError:")
+
+    @pytest.mark.parametrize("fail, code, kind", [
+        pytest.param(_raises(ConfigError("bad value")), 2, "ConfigError", id="ConfigError"),
+        pytest.param(_raises(GapError("missing slot")), 1, "GapError", id="LoadcastError"),
+        pytest.param(_raises(FileNotFoundError(2, "No such file")), 1, "FileNotFoundError",
+                     id="OSError"),
+        pytest.param(_no_memory, 1, "MemoryError", id="numpy-MemoryError"),
+        pytest.param(_raises(RuntimeError("a bug")), None, None, id="bug"),
+    ])
+    def test_failure_is_named_by_class(self, fail, code, kind, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+        if code is None:  # a bug stays a traceback
+            with pytest.raises(RuntimeError, match="a bug"):
+                dispatch(["gradcheck"])
+            return
+        assert dispatch(["gradcheck"]) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {kind}: "), line
+
+    @pytest.mark.parametrize("make_argv, code, kind", [
+        pytest.param(_missing_runs, 2, "ConfigError", id="report-missing-runs"),
+        pytest.param(_bad_config, 2, "ConfigError", id="run-bad-config"),
+        pytest.param(_malformed_report, 1, "MalformedReport", id="report-malformed"),
+    ])
+    def test_line_break_in_a_path_stays_on_one_line(self, make_argv, code, kind, tmp_path,
+                                                    capsys):
+        argv = make_argv(tmp_path)
+        assert dispatch(argv) == code
+        [line] = capsys.readouterr().err.splitlines()
+        [path] = [arg for arg in argv if "\n" in arg]
+        assert line.startswith(f"error: {kind}: ") and path.replace("\n", " ") in line, line
+
+    @pytest.mark.parametrize("target, guarded", [
+        pytest.param(_console_script_target(), True, id="console-script"),
+        pytest.param("v2x_loadcast.cli:main", False, id="cli-main"),
+    ])
+    def test_console_script_without_numpy(self, target, guarded):
+        # What an installed script calling `target` does where numpy cannot be imported.
+        module, func = target.split(":")
+        script = f"import sys; sys.modules['numpy'] = None; from {module} import {func}; {func}()"
+        run = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1 and run.stdout == ""
+        if guarded:
+            [line] = run.stderr.splitlines()
+            assert line.startswith("error: ImportError: ") and "numpy" in line, line
+        else:  # the CLI module has no import guard of its own
+            assert run.stderr.startswith("Traceback"), run.stderr
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "lamda = 0.2")
@@ -493,15 +571,13 @@ class TestDispatch:
     def test_import_error_importing_the_cli_is_one_error_line(self):
         # `python -m v2x_loadcast --version` where numpy cannot be imported,
         # as when its shared libraries fail to map under an address-space limit.
-        src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         script = (
             "import runpy, sys; sys.modules['numpy'] = None; sys.argv[1:] = ['--version']; "
             "runpy.run_module('v2x_loadcast', run_name='__main__', alter_sys=True)"
         )
         run = subprocess.run(
-            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True, timeout=60,
+            [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
+            timeout=60,
         )
         assert run.returncode == 1 and run.stdout == ""
         [line] = run.stderr.splitlines()

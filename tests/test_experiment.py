@@ -77,7 +77,7 @@ class TestRunExperiment:
     def test_report_round_trips_losslessly(self, road6):
         report = run_experiment(small_spec(), road6)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert RunReport.from_dict(payload) == report
+        assert RunReport(**payload) == report
 
     def test_modes_share_the_pipeline(self, road6):
         net = run_experiment(small_spec(mode="net"), road6)
@@ -241,6 +241,13 @@ class TestGrid:
         assert rows[1].error.startswith("MemoryError: Unable to allocate"), rows[1].error
 
     @pytest.mark.parametrize("workers", ROW_PATHS)
+    def test_row_error_with_a_line_break_recorded_on_one_line(self, road6, monkeypatch, workers):
+        monkeypatch.setattr(experiment, "run_experiment", _two_line_error)
+        use_row_path(monkeypatch, workers)
+        [row] = run_scenario_grid([small_spec()], road6)
+        assert row.report is None and row.error == "DegenerateFeature: first line second line"
+
+    @pytest.mark.parametrize("workers", ROW_PATHS)
     def test_row_without_a_helper_thread_recorded_grid_continues(self, road6, monkeypatch, workers):
         monkeypatch.setattr(experiment, "run_experiment", _seed_or_simulate_on_seed_2)
         monkeypatch.setattr(threading.Thread, "start", _start_unless_simulate_calls)
@@ -376,6 +383,10 @@ def _seed_or_no_memory_on_seed_2(spec, road):
     if spec.seed == 2:
         np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
     return spec.seed
+
+
+def _two_line_error(spec, road):
+    raise DegenerateFeature("first line\nsecond line")
 
 
 def _seed_or_simulate_on_seed_2(spec, road):

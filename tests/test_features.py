@@ -291,6 +291,7 @@ class TestFusion:
         lambda: select_mode_columns(np.zeros((4, 3)), "road"),
         lambda: build_feature_matrix(synthesize_road_series(1, 2), CallSeries(np.arange(10))),
         lambda: parse_road_csv("unused.csv", impute="mean"),
+        lambda: parse_road_csv("unused.csv", impute=None),  # the config spells it "none"
         lambda: parse_road_csv("unused.csv", column_map={"volume": "Total Flow"}),
     ],
     ids=[
@@ -304,6 +305,7 @@ class TestFusion:
         "select-mode-columns",
         "feature-matrix-length",
         "parse-impute",
+        "parse-impute-none",
         "parse-column-map",
     ],
 )

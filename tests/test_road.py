@@ -204,7 +204,7 @@ class TestParse:
         shuffled = [rows[k] for k in rng.permutation(len(rows))]
         with tempfile.TemporaryDirectory() as tmp:
             path = write_csv(Path(tmp) / "road.csv", [f"{t},{f},{v!r}" for t, f, v in shuffled])
-            for impute in (None, "hold"):
+            for impute in ("none", "hold"):
                 want = slot_walk(rows, impute)
                 if isinstance(want, int):
                     with pytest.raises(GapError) as info:
