@@ -10,10 +10,15 @@ orders of magnitude above it.
 
 The 2P perturbed copies of the (P,) parameter vector go through `forward`
 as one stacked model axis, so a tiny model's every central difference comes
-from one call. A large model's copies run in blocks whose stack rows and
-gate buffers stay within `BLOCK_ELEMENTS` float64 elements, so the check
-cannot exhaust memory. Each copy's loss is its own MSE, the same numbers a
-separate `forward` per copy gives.
+from one call. A large model's copies run in blocks sized so that each
+model's stack row and two (M, B, G*H) gate buffers (a stack's `forward`
+holds the input GEMM's result and its time-major copy at once) fit in
+`BLOCK_ELEMENTS` float64 elements, and no block's trace outlives it. The
+scaled weights, states and temporaries of `forward` add at most as much
+again, so the traced peak stays under twice `BLOCK_ELEMENTS` elements
+besides the (2P,) losses (or twice one model's share, where that alone is
+larger). Each copy's loss is its own MSE, the same numbers a separate
+`forward` per copy gives.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .nn import GATE_BLOCKS, ModelParameters, backward, forward, init_parameters
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 REL_FLOOR = 1e-6
-BLOCK_ELEMENTS = 1 << 17  # float64 stack rows plus gate buffers of the models in one forward call
+BLOCK_ELEMENTS = 1 << 17  # float64 stack rows plus two gate buffers per model in one forward call
 
 
 @dataclass
@@ -58,17 +63,16 @@ def numerical_gradients(
         targets = targets[:, None]
     flat = params.flat
     p = flat.size
-    elements = np.tile(np.arange(p), 2)
-    steps = np.repeat([step, -step], p)
-    # Each model of a block holds its stack row and its (M, B, G*H) gate buffer.
+    # Each model of a block holds its stack row and, while `forward` copies
+    # the input GEMM's result time-major, two (M, B, G*H) gate buffers.
     gates = math.prod(np.shape(inputs)[:-1]) * GATE_BLOCKS[params.cell] * params.hidden_size
-    rows = max(1, BLOCK_ELEMENTS // (p + gates))
+    rows = max(1, BLOCK_ELEMENTS // (p + 2 * gates))
     losses = np.empty(2 * p)
     for start in range(0, 2 * p, rows):
-        block = slice(start, min(start + rows, 2 * p))
-        stack = np.repeat(flat[None, :], block.stop - start, axis=0)
-        stack[np.arange(len(stack)), elements[block]] += steps[block]
-        preds, _ = forward(params.with_flat(stack), inputs)
+        block = np.arange(start, min(start + rows, 2 * p))  # row k perturbs element k % p
+        stack = np.repeat(flat[None, :], len(block), axis=0)
+        stack[np.arange(len(block)), block % p] += np.where(block < p, step, -step)
+        preds = forward(params.with_flat(stack), inputs)[0]  # no trace outlives its block
         if preds.shape[1:] != targets.shape:
             raise ShapeMismatch(f"predictions {preds.shape[1:]} vs targets {targets.shape}")
         losses[block] = np.mean((targets - preds) ** 2, axis=(-2, -1))

@@ -47,10 +47,14 @@ W_x, W_h and b gradients after the loop with one GEMM or sum each.
 
 `forward` broadcasts over the leading model axes of a stacked `flat`: every
 model reads the same inputs, the GEMMs are stacked `matmul`s, and time stays
-the first axis, so the gate buffer is (M, *lead, B, G*H) (a view of the one
-input GEMM's (*lead, M*B, G*H) result) and the states (M+1, *lead, B, H).
-A step indexes `gates[t]` and `states[t]` whatever the stack, and a single
-model (lead = ()) runs on the plain (M, B, G*H) and (M+1, B, H) shapes.
+the first axis, so the gate buffer is (M, *lead, B, G*H) and the states
+(M+1, *lead, B, H). The stacked gate buffer is an owned C-contiguous copy of
+the one input GEMM's (*lead, M*B, G*H) result, made time-major once per
+call, so each step's h' W_h add and activation run on contiguous rows
+rather than on a strided view of that result. A step indexes `gates[t]` and
+`states[t]` whatever the stack, and a single model (lead = ()) runs on the
+plain (M, B, G*H) and (M+1, B, H) shapes, its GEMM result already
+time-major.
 `backward` takes a single model only.
 
 `ForwardTrace`: `inputs` (B, M, D) as given and `preds` (*lead, B, T_out),
@@ -234,8 +238,8 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
     xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
     gates = (xt @ (params.w_x * scale)).reshape(*lead, m, bsz, -1)
     b, b_out = params.b * scale, params.b_out
-    if lead:  # a stack: time first, (M, *lead, B, G*H), and the biases broadcast over B
-        gates = np.moveaxis(gates, len(lead), 0)
+    if lead:  # a stack: an owned time-major copy, and the biases broadcast over B
+        gates = np.moveaxis(gates, len(lead), 0).copy()
         b, b_out = b[..., None, :], b_out[..., None, :]
     gates += b
     w_h = params.w_h * scale

@@ -359,6 +359,59 @@ class TestBadFlags:
         assert err == ["error: MalformedRow: line 101: field larger than field limit (131072)"]
 
 
+# Edits to the lines of a valid one-day road CSV (header first), as drawn below.
+_ROW_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["drop", "blank", "dup", "swap", "short"]), st.integers(0, 288)),
+    st.tuples(st.just("field"), st.integers(0, 288), st.integers(0, 3),
+              st.one_of(st.text(max_size=12), st.sampled_from(["", " ", "-1", "1e2", "nan", "1_00"]))),
+    st.tuples(st.just("oversize"), st.integers(0, 288), st.integers(0, 2)),
+)
+
+
+@st.composite
+def _road_contents(draw, lines):
+    """Bytes of the CSV `lines` after a few row and field edits, in some encoding."""
+    lines = list(lines)
+    for edit, k, *rest in draw(st.lists(_ROW_EDITS, max_size=4)):
+        k %= len(lines)
+        fields = lines[k].split(",")
+        if edit == "drop":
+            del lines[k]
+        elif edit == "blank":
+            lines.insert(k, "")
+        elif edit == "dup":
+            lines.insert(k, lines[k])
+        elif edit == "swap":
+            lines[k - 1], lines[k] = lines[k], lines[k - 1]
+        elif edit == "short":
+            lines[k] = ",".join(fields[:-1])
+        else:  # a field replaced, or appended past the end of the row
+            j, text = rest[0], rest[1] if edit == "field" else "1" * 200_000
+            lines[k] = ",".join(fields[:j] + [text] + fields[j + 1:])
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "latin-1", "cp1252"]))
+    return text.encode(encoding, errors="replace")
+
+
+class TestRoadContents:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bad_road_content_is_one_error_line(self, one_day_csv, tmp_path_factory, data):
+        content = data.draw(_road_contents(one_day_csv.read_text().splitlines()))
+        root = tmp_path_factory.getbasetemp()
+        road = root / "drawn_road.csv"
+        road.write_bytes(content)
+        for argv in (["ingest", "--input", str(road)],
+                     ["simulate", "--road", str(road), "--lambda", "0.2", "--h", "0.5",
+                      "--range", "1.5", "--out", str(root / "drawn_calls.csv")]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = dispatch(argv)
+            lines = err.getvalue().splitlines()  # none on exit 0, one on exit 1
+            assert code in (0, 1) and len(lines) == code, (argv, code, lines)
+            assert all(_ERROR_LINE.match(line) for line in lines), (argv, lines)
+
+
 def _no_memory(*args):
     np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -315,15 +316,19 @@ class TestStackedForward:
         rng = np.random.default_rng(31)
         params = init_parameters(cell, 3, 4, rng, out_size=2)
         stack = params.flat + rng.normal(0.0, 0.5, (*lead, params.flat.size))
-        x = rng.normal(0.0, 1.0, (3, 5, 3))
-        preds, trace = forward(params.with_flat(stack), x)
-        assert preds.shape == (*lead, 3, 2) and trace.gates.shape[0] == 5
-        assert trace.h_prev.shape == (5, *lead, 3, 4)
-        for k in np.ndindex(lead):
-            one, one_trace = forward(params.with_flat(stack[k]), x)
-            assert np.allclose(preds[k], one, rtol=0.0, atol=1e-12), k
-            states = trace.states[(slice(None), *k)]
-            assert np.allclose(states, one_trace.states, rtol=0.0, atol=1e-12), k
+        for batch in (3, 1):
+            x = rng.normal(0.0, 1.0, (batch, 5, 3))
+            preds, trace = forward(params.with_flat(stack), x)
+            assert preds.shape == (*lead, batch, 2)
+            assert trace.gates.shape == (5, *lead, batch, 4 * GATE_BLOCKS[cell])
+            assert trace.h_prev.shape == (5, *lead, batch, 4)
+            assert trace.gates.flags.c_contiguous  # each step's activations read whole rows
+            for k in np.ndindex(lead):
+                one, one_trace = forward(params.with_flat(stack[k]), x)
+                assert np.array_equal(preds[k], one), (batch, k)
+                for name in ("states", "gates"):
+                    got = getattr(trace, name)[(slice(None), *k)]
+                    assert np.array_equal(got, getattr(one_trace, name)), (batch, name, k)
 
     def test_views_follow_the_stack(self):
         params = init_parameters("gru", 2, 3, np.random.default_rng(0))
@@ -381,6 +386,22 @@ class TestGradCheck:
         assert len(calls) > 1 and sum(calls) == 2 * params.flat.size, calls
         ref = reference_numerical_gradients(params, x, y, gc.DEFAULT_STEP)
         assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_traced_peak_within_the_block_bound(self, cell):
+        # 7 (LSTM) or 9 (GRU) models a block, so the check takes many calls.
+        rng = np.random.default_rng(35)
+        params = init_parameters(cell, 3, 4, rng)
+        x = rng.normal(0.0, 1.0, (32, 18, 3))
+        y = rng.normal(0.0, 1.0, (32, 1))
+        tracemalloc.start()
+        try:
+            numerical_gradients(params, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        losses = 2 * params.flat.nbytes
+        assert peak < 2 * 8 * gc.BLOCK_ELEMENTS + losses, peak
 
     def test_target_shape_mismatch(self):
         rng = np.random.default_rng(34)
