@@ -21,10 +21,10 @@ The whole simulation is a pure function of (series, config): one seeded
 generator drives every draw, in this order and these sizes (V vehicles,
 C calls): `poisson(flows)` (skipped with `exact_flow`), `uniform(0, 300, V)`
 entry offsets, `random(V)` handover flags (only if h > 0), `poisson(lam *
-dwell, V)` calls per vehicle (only if lam > 0), then `uniform(0, 1, C)`
-positions of each call within its vehicle's dwell. Vehicles are stored
-interval by interval, so per-vehicle values are `np.repeat`s of per-interval
-ones.
+dwell, V)` calls per vehicle (a mean of 0 draws nothing), then
+`uniform(0, 1, C)` positions of each call within its vehicle's dwell.
+Vehicles are stored interval by interval, so per-vehicle values are
+`np.repeat`s of per-interval ones.
 
 The generator is PCG64, and each `uniform` or `random` value is one 64-bit
 output. So after `poisson(flows)` every stream position is known except
@@ -32,10 +32,10 @@ inside the Poisson draws, whose length varies: the V entry offsets start at
 0, the V handover flags at V, the Poisson draws at V (or 2V when h > 0) and
 the per-call uniforms where the Poisson draws stop. Each part draws from its
 own copy of the generator advanced (`advance`, which is exact) to where it
-begins, on its own thread, and the draws stay the same. When lam > 0 the
-work runs in two stages, each split between the calling thread and one
-helper thread from a one-worker pool that is joined before `simulate_calls`
-returns:
+begins, on its own thread, and the draws stay the same. The work always
+runs in two stages, each split between the calling thread and one helper
+thread from a one-worker pool that is joined before `simulate_calls`
+returns, whatever the road and rates:
 
 * vehicles: the helper draws the calls per vehicle, the calling thread the
   handover flags (only if h > 0). The entry offsets are not drawn here.
@@ -234,34 +234,19 @@ def _per_vehicle_calls(rng, means, vehicles, first, blocks, per_vehicle):
 def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     """Draw one realization of the call process over the whole road series."""
     rng = np.random.default_rng(config.seed)
-    n = len(series)
     flows = series.flows
     speeds = series.speeds
     timestamps = series.timestamps
 
     zero_speed = int(np.count_nonzero((speeds == 0.0) & (flows > 0)))
     dwell_min = dwell_minutes(speeds, config.cell_range_miles)  # per interval
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(len(series), dtype=np.int64)
 
-    vehicles = flows.copy() if config.exact_flow else rng.poisson(flows)
-    total_vehicles = int(vehicles.sum())
-    if total_vehicles == 0:
-        return CallSeries(counts, 0, zero_speed)
+    vehicles = flows if config.exact_flow else rng.poisson(flows)
     first = _starts(vehicles)  # interval i holds vehicles first[i]:first[i + 1]
+    total_vehicles = int(first[-1])
     vehicle_blocks = _blocks(first)
     handover = config.handover_prob > 0
-
-    def handovers():
-        # `rng` stays where the entry offsets begin; the flags follow them.
-        if handover:
-            flags = _jumped(rng, total_vehicles)
-            for a, b in vehicle_blocks:
-                handed = flags.random(first[b] - first[a]) < config.handover_prob
-                counts[a:b] += _interval_sums(handed, vehicles, first, a, b)
-
-    if config.lam == 0:
-        handovers()
-        return CallSeries(counts, total_vehicles, zero_speed)
 
     # Imported here: at module import it would add ~10 ms, mostly logging, to every CLI start.
     from concurrent.futures.thread import ThreadPoolExecutor
@@ -277,7 +262,7 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     # freed block of this size was often not reused by the next, slightly
     # larger one, so repeated calls paged in a second copy of it.
     per_vehicle = np.empty(total_vehicles, dtype=np.uint8 if means.max() <= 64.0 else np.uint16)
-    # Leaving the block, by a return or an error on either thread, joins the helper.
+    # Leaving the block, at its end or by an error on either thread, joins the helper.
     with ThreadPoolExecutor(1, thread_name_prefix="simulate_calls") as helper:
         try:  # the first submit starts the helper thread
             drawn = helper.submit(
@@ -285,11 +270,13 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
             )
         except RuntimeError as exc:  # "can't start new thread": out of threads or memory
             raise ResourceExhausted(f"cannot start the simulate_calls helper thread: {exc}") from exc
-        handovers()
+        if handover:  # `rng` stays where the entry offsets begin; the flags follow them
+            flags = _jumped(rng, total_vehicles)
+            for a, b in vehicle_blocks:
+                handed = flags.random(first[b] - first[a]) < config.handover_prob
+                counts[a:b] += _interval_sums(handed, vehicles, first, a, b)
         per_interval = drawn.result()
         calls_before = _starts(per_interval)
-        if calls_before[-1] == 0:
-            return CallSeries(counts, total_vehicles, zero_speed)
 
         grid = _SlotGrid(timestamps)
         dwell_s = dwell_min * 60.0

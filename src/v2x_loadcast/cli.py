@@ -119,7 +119,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_outputs(rows: list[GridRow], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [_header(METRICS_COLUMNS)]
     failed = 0
     for row in rows:
@@ -147,8 +146,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {args.dump_config}")
 
     road = _load_road(config)
-    rows = run_scenario_grid(config.specs(table=args.command == "grid"), road)
     out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable path fails before any row trains
+    rows = run_scenario_grid(config.specs(table=args.command == "grid"), road)
     _write_outputs(rows, out_dir)
     print(comparison_table(rows))
     print(f"wrote {out_dir / 'metrics.csv'} and {sum(r.report is not None for r in rows)} report(s)")
@@ -179,12 +179,19 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _report_rows(payload: dict) -> list[str]:
-    """One CSV row per epoch of a JSON run report."""
-    key = [payload[field] for _, field in RUN_KEY]
-    if not all(isinstance(payload[field], str) for field in ("scenario_id", "mode")):
-        raise TypeError("scenario_id and mode must be strings")
-    epochs = zip(*(payload[field] for _, field in EPOCH_COLUMNS))
-    return [_csv_row([*key, epoch, *values]) for epoch, values in enumerate(epochs, start=1)]
+    """One CSV row per epoch of a JSON run report; each value must stay one CSV field."""
+    scenario_id, lam, h, cell_range, mode, seed = key = [payload[field] for _, field in RUN_KEY]
+    per_epoch = [payload[field] for _, field in EPOCH_COLUMNS]
+    # `splitlines` finds every line break, a final one too once a character follows it.
+    if not all(isinstance(s, str) and "," not in s and len(f"{s}.".splitlines()) == 1
+               for s in (scenario_id, mode)):
+        raise TypeError("scenario_id and mode must be strings with no comma or line break")
+    # JSON numbers are int or float, and a bool is neither.
+    if not (all(type(v) in (int, float) for v in (lam, h, cell_range)) and type(seed) is int):
+        raise TypeError("lam, handover_prob and cell_range_miles must be numbers, seed an integer")
+    if not all(isinstance(vs, list) and all(type(v) in (int, float) for v in vs) for vs in per_epoch):
+        raise TypeError("train_losses and val_maes must be lists of numbers")
+    return [_csv_row([*key, epoch, *values]) for epoch, values in enumerate(zip(*per_epoch), start=1)]
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -6,12 +6,13 @@ training hyperparameters. `AppConfig` only maps its keys onto
 the checks and defaults of the values they use; `AppConfig` checks only the
 keys none of them owns. Unknown keys are rejected, every value is validated
 before any pipeline stage executes, and `dump` emits a file that reproduces
-the run exactly.
+the run exactly, or refuses to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Any
 
 from .calls import ScenarioConfig
@@ -136,9 +137,14 @@ class AppConfig:
     # -- serialization ----------------------------------------------------
 
     def dump(self) -> str:
+        """`key = value` lines that `from_file` reads back as this config, or ConfigError."""
         lines = []
         for f in fields(self):
             value = getattr(self, f.name)
+            # Surrounding whitespace, `#`, a line break or what UTF-8 cannot encode would not read back.
+            if isinstance(value, str) and (value != value.strip() or not {"#", "\r", "\n"}.isdisjoint(value)
+                                           or value.encode("utf-8", "ignore").decode("utf-8") != value):
+                raise ConfigError(f"{f.name} {value!r} cannot be written to a config file as itself")
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             elif isinstance(value, bool):
@@ -150,18 +156,21 @@ class AppConfig:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read `key = value` lines; `#` starts a comment, blank lines ignored."""
+    """Read `key = value` lines of UTF-8 text; `#` starts a comment, blank lines ignored."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            if key in mapping:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            mapping[key] = value.strip()
+    try:
+        text = Path(path).read_text(encoding="utf-8")  # each line break read as "\n"
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+        key, value = stripped.split("=", 1)
+        key = key.strip()
+        if key in mapping:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        mapping[key] = value.strip()
     return mapping

@@ -54,13 +54,13 @@ def numerical_gradients(
 ) -> np.ndarray:
     """Central-difference gradient of the MSE for every element of `params.flat`, as (P,).
 
+    `targets` must have the (B, T_out) shape of one model's predictions.
+
     Row k of the (2P, P) perturbation stack is `flat` with step added to
     element k, row P + k the same with step subtracted; `forward` runs a
     block of rows per call and each row's loss is the MSE of its predictions.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
     flat = params.flat
     p = flat.size
     # Each model of a block holds its stack row and, while `forward` copies

@@ -48,14 +48,14 @@ W_x, W_h and b gradients after the loop with one GEMM or sum each.
 `forward` broadcasts over the leading model axes of a stacked `flat`: every
 model reads the same inputs, the GEMMs are stacked `matmul`s, and time stays
 the first axis, so the gate buffer is (M, *lead, B, G*H) and the states
-(M+1, *lead, B, H). The stacked gate buffer is an owned C-contiguous copy of
-the one input GEMM's (*lead, M*B, G*H) result, made time-major once per
-call, so each step's h' W_h add and activation run on contiguous rows
-rather than on a strided view of that result. A step indexes `gates[t]` and
-`states[t]` whatever the stack, and a single model (lead = ()) runs on the
-plain (M, B, G*H) and (M+1, B, H) shapes, its GEMM result already
-time-major.
-`backward` takes a single model only.
+(M+1, *lead, B, H). The gate buffer is the one input GEMM's
+(*lead, M*B, G*H) result made C-contiguous and time-major by one line: for
+a stack an owned copy, made once per call, so each step's h' W_h add and
+activation run on contiguous rows rather than on a strided view; for a
+single model (lead = ()) the result itself, already time-major. The biases
+broadcast over B as (*lead, 1, ...), so one model and a stack run the same
+lines. `backward` takes a single model only; its targets, like those of
+`gradcheck.numerical_gradients`, are (B, T_out).
 
 `ForwardTrace`: `inputs` (B, M, D) as given and `preds` (*lead, B, T_out),
 then, time-major, `states` (M+1, *lead, B, H) and the activated `gates`
@@ -126,10 +126,6 @@ class ModelParameters:
     @property
     def hidden_size(self) -> int:
         return self.w_h.shape[-2]
-
-    @property
-    def out_size(self) -> int:
-        return self.w_out.shape[-1]
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """The five tensors of a (..., P) vector laid out like `flat`, as views, keyed by name."""
@@ -237,11 +233,8 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
     scale[:ns] = 0.5
     xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
     gates = (xt @ (params.w_x * scale)).reshape(*lead, m, bsz, -1)
-    b, b_out = params.b * scale, params.b_out
-    if lead:  # a stack: an owned time-major copy, and the biases broadcast over B
-        gates = np.moveaxis(gates, len(lead), 0).copy()
-        b, b_out = b[..., None, :], b_out[..., None, :]
-    gates += b
+    gates = np.ascontiguousarray(np.moveaxis(gates, len(lead), 0))  # copies a stack only
+    gates += (params.b * scale)[..., None, :]  # biases broadcast over B
     w_h = params.w_h * scale
     states = np.zeros((m + 1, *lead, bsz, hs))
 
@@ -272,7 +265,7 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
             np.multiply(z, states[t], out=states[t + 1])
             states[t + 1] += (1.0 - z) * n
         extra = {"hh_n": hh[..., ns:]}
-    preds = states[m] @ params.w_out + b_out
+    preds = states[m] @ params.w_out + params.b_out[..., None, :]
     return preds, ForwardTrace(x, preds, states, gates, **extra)
 
 
@@ -284,13 +277,12 @@ def backward(params: ModelParameters, trace: ForwardTrace, targets: np.ndarray) 
     """Exact gradient of mean((pred - target)^2) over the batch, as a (P,)
     vector laid out like `params.flat`.
 
-    The trace must come from `forward` on the same parameters, one model.
+    The trace must come from `forward` on the same parameters, one model,
+    and `targets` must have the (B, T_out) shape of its predictions.
     """
     if params.flat.ndim != 1:
         raise ShapeMismatch(f"backward takes one model, got a stack of {params.flat.shape[:-1]}")
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
     if targets.shape != trace.preds.shape:
         raise ShapeMismatch(f"targets {targets.shape} vs predictions {trace.preds.shape}")
 

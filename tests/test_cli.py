@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import no_thread
@@ -40,6 +40,17 @@ def write_config(tmp_path, text=SMALL_RUN, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text.strip() + "\n")
     return path
+
+
+_KEYS = {f.name for f in fields(AppConfig)}
+# Draws for `dump`: keys, half of them `road_csv` or `out_dir` (where any
+# string is a path), and values, either text holding the characters the file
+# format gives a meaning to or a value some other key takes.
+_DUMP_KEYS = st.one_of(st.sampled_from(["road_csv", "out_dir"]), st.sampled_from(sorted(_KEYS)))
+_DUMP_VALUES = st.one_of(
+    st.text(st.one_of(st.sampled_from(" \t#=,\n\r\x0b\x1c\x85\u2028"), st.characters()), max_size=12),
+    st.sampled_from(["true", "off", "gru", "hold", "net", "1", "7", "0.5", "1e-3", "2,1,1", "4,5"]),
+)
 
 
 class TestConfig:
@@ -72,9 +83,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_file(str(path))
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.dictionaries(_DUMP_KEYS, _DUMP_VALUES, min_size=1, max_size=3))
+    @example(values={"out_dir": "runs#1"})
+    @example(values={"out_dir": " runs", "road_csv": "road.csv "})
+    @example(values={"road_csv": "a\nb"})
+    @example(values={"out_dir": "a\rb"})
+    @example(values={"out_dir": "runs\udcff"})  # a byte that was not UTF-8, as argv decodes it
+    def test_dump_reads_back_or_refuses(self, values, tmp_path_factory):
+        try:
+            cfg = AppConfig.from_mapping(values)
+        except ConfigError:
+            return  # not a config; `dump` writes valid ones
+        try:
+            text = cfg.dump()
+        except ConfigError:
+            return
+        path = tmp_path_factory.mktemp("dump") / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert AppConfig.from_file(str(path)) == cfg
+
 
 def _refuse_road(*args, **kwargs):
     raise AssertionError("a road was loaded for a config that should have been rejected")
+
+
+def _refuse_grid(*args, **kwargs):
+    raise AssertionError("rows ran before the output directory was made")
 
 
 def run_set(key_value: str, *args: str) -> tuple[int, list[str]]:
@@ -144,7 +179,6 @@ BAD_VALUES = {
         _JUNK, _NON_FINITE, st.just(","),
     ),
 }
-_KEYS = {f.name for f in fields(AppConfig)}
 _UNKNOWN_KEY = st.from_regex(r"[a-z_]{1,16}", fullmatch=True).filter(lambda k: k not in _KEYS)
 
 
@@ -443,11 +477,29 @@ def _bad_config(tmp_path):
     return ["run", "--config", str(write_config(tmp_path, "no key here", name="bad\nrun.cfg"))]
 
 
-def _malformed_report(tmp_path):
-    runs = tmp_path / "bad\nruns"
-    runs.mkdir()
-    (runs / "r.json").write_text("{")
-    return ["report", "--runs", str(runs), "--out", str(tmp_path / "x.csv")]
+def _config_not_utf8(tmp_path):
+    path = tmp_path / "bad\nrun.cfg"
+    path.write_bytes(b"days = 2\n\xff\n")
+    return ["run", "--config", str(path)]
+
+
+# The fields of a run report that `report` reads, well formed.
+_REPORT = {"scenario_id": "r1.5_l0.2_h0.5", "lam": 0.2, "handover_prob": 0.5, "cell_range_miles": 1.5,
+           "mode": "net", "seed": 1, "train_losses": [1.0, 0.5], "val_maes": [0.9, 0.8]}
+
+
+def _malformed_report(text="{"):
+    """`report` of one run report holding `text`."""
+    def make_argv(tmp_path):
+        runs = tmp_path / "bad\nruns"
+        runs.mkdir()
+        (runs / "r.json").write_text(text)
+        return ["report", "--runs", str(runs), "--out", str(tmp_path / "x.csv")]
+    return make_argv
+
+
+def _report_with(**fields):
+    return _malformed_report(json.dumps({**_REPORT, **fields}))
 
 
 def _src_env() -> dict[str, str]:
@@ -508,7 +560,20 @@ class TestDispatch:
     @pytest.mark.parametrize("make_argv, code, kind", [
         pytest.param(_missing_runs, 2, "ConfigError", id="report-missing-runs"),
         pytest.param(_bad_config, 2, "ConfigError", id="run-bad-config"),
-        pytest.param(_malformed_report, 1, "MalformedReport", id="report-malformed"),
+        pytest.param(_config_not_utf8, 2, "ConfigError", id="run-config-not-utf8"),
+        pytest.param(_malformed_report(), 1, "MalformedReport", id="report-malformed"),
+        # Each of these would write a row split across lines or with extra columns.
+        pytest.param(_report_with(scenario_id="a,b\nc", seed=[1, 2]), 1, "MalformedReport",
+                     id="report-key-splits-its-row"),
+        pytest.param(_report_with(scenario_id="a,b"), 1, "MalformedReport", id="report-comma-in-key"),
+        pytest.param(_report_with(mode="net\r"), 1, "MalformedReport", id="report-line-break-in-key"),
+        pytest.param(_report_with(seed=[1, 2]), 1, "MalformedReport", id="report-seed-list"),
+        pytest.param(_report_with(seed=True), 1, "MalformedReport", id="report-seed-bool"),
+        pytest.param(_report_with(lam="0.2,x"), 1, "MalformedReport", id="report-lambda-string"),
+        pytest.param(_report_with(handover_prob=None), 1, "MalformedReport", id="report-h-null"),
+        pytest.param(_report_with(train_losses=[1.0, "x,y"]), 1, "MalformedReport",
+                     id="report-epoch-value-string"),
+        pytest.param(_report_with(val_maes="0.9"), 1, "MalformedReport", id="report-epochs-not-a-list"),
     ])
     def test_line_break_in_a_path_stays_on_one_line(self, make_argv, code, kind, tmp_path,
                                                     capsys):
@@ -765,6 +830,22 @@ class TestDispatch:
         assert dispatch(["ingest", "--input", str(path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: MalformedRow: line 2:"), err
+
+    def test_report_reads_the_well_formed_fields(self, tmp_path):
+        argv = _report_with()(tmp_path)
+        assert dispatch(argv) == 0
+        assert (tmp_path / "x.csv").read_text().splitlines()[1:] == [
+            "r1.5_l0.2_h0.5,0.2,0.5,1.5,net,1,1,1.0,0.9", "r1.5_l0.2_h0.5,0.2,0.5,1.5,net,1,2,0.5,0.8",
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_unusable_out_fails_before_any_row(self, command, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(cli, "run_scenario_grid", _refuse_grid)
+        argv = [command, "--days", "2", "--seeds", "1", "--out", str(tmp_path / "file" / "x")]
+        assert dispatch(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: NotADirectoryError: "), line
 
     def test_report_flattens_epochs(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -227,8 +227,9 @@ class TestBackward:
         params = zero_params("lstm")
         x = np.zeros((2, 5, 2))
         _, trace = forward(params, x)
-        with pytest.raises(ShapeMismatch):
-            backward(params, trace, np.zeros((3, 1)))
+        for targets in (np.zeros((3, 1)), np.zeros(2)):  # a (B,) target is not (B, T_out) either
+            with pytest.raises(ShapeMismatch):
+                backward(params, trace, targets)
 
 
 def _max_norm_error(new, ref):
@@ -330,6 +331,29 @@ class TestStackedForward:
                     got = getattr(trace, name)[(slice(None), *k)]
                     assert np.array_equal(got, getattr(one_trace, name)), (batch, name, k)
 
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_one_model_allocates_its_gate_buffer_once(self, cell):
+        # A single model's GEMM result is already time-major: it is the gate
+        # buffer, not a copy. The peak alone would not show a copy, whose source
+        # is freed before the state buffers exist, so the view is checked too.
+        rng = np.random.default_rng(36)
+        params = init_parameters(cell, 3, 32, rng)
+        x = rng.normal(0.0, 1.0, (32, 18, 3))
+        tracemalloc.start()
+        try:
+            _, trace = forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        owners = {}  # the trace's own buffers, each counted once (GRU's hh_n is a view of one)
+        for name in ("preds", "states", "gates", "cells", "tanh_c", "hh_n"):
+            array = getattr(trace, name)
+            if array is not None:
+                owner = array if array.base is None else array.base
+                owners[id(owner)] = owner.nbytes
+        assert peak < 1.25 * sum(owners.values()), (peak, sum(owners.values()))
+        assert trace.gates.base is not None and trace.gates.base.nbytes == trace.gates.nbytes
+
     def test_views_follow_the_stack(self):
         params = init_parameters("gru", 2, 3, np.random.default_rng(0))
         stack = np.repeat(params.flat[None, :], 4, axis=0)
@@ -406,8 +430,9 @@ class TestGradCheck:
     def test_target_shape_mismatch(self):
         rng = np.random.default_rng(34)
         params = init_parameters("gru", 1, 2, rng)
-        with pytest.raises(ShapeMismatch):
-            numerical_gradients(params, rng.normal(size=(2, 4, 1)), np.zeros((3, 1)))
+        for targets in (np.zeros((3, 1)), np.zeros(2)):  # a (B,) target is not (B, T_out) either
+            with pytest.raises(ShapeMismatch):
+                numerical_gradients(params, rng.normal(size=(2, 4, 1)), targets)
 
     def test_injected_fault_detected(self, monkeypatch):
         rng = np.random.default_rng(9)
