@@ -105,13 +105,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     series = parse_road_csv(args.road)
     calls = simulate_calls(series, config)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,flow,speed,calls\n")
-        rows = zip(
-            series.timestamps.tolist(), series.flows.tolist(), series.speeds.tolist(), calls.counts.tolist()
-        )
-        for ts, flow, speed, count in rows:
-            fh.write(f"{ts},{flow},{_fmt(speed)},{count}\n")
+    rows = zip(series.timestamps.tolist(), series.flows.tolist(), series.speeds.tolist(), calls.counts.tolist())
+    lines = ["timestamp,flow,speed,calls", *map(_csv_row, rows)]
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if calls.zero_speed_intervals:
         print(f"warning: {calls.zero_speed_intervals} zero-speed interval(s) floored to 5 mph", file=sys.stderr)
     print(f"wrote {args.out}: {int(calls.counts.sum())} calls from {calls.vehicles_total} vehicles")
@@ -182,6 +178,7 @@ def _report_rows(payload: dict) -> list[str]:
     """One CSV row per epoch of a JSON run report; each value must stay one CSV field."""
     scenario_id, lam, h, cell_range, mode, seed = key = [payload[field] for _, field in RUN_KEY]
     per_epoch = [payload[field] for _, field in EPOCH_COLUMNS]
+    epochs = payload["epochs"]
     # `splitlines` finds every line break, a final one too once a character follows it.
     if not all(isinstance(s, str) and "," not in s and len(f"{s}.".splitlines()) == 1
                for s in (scenario_id, mode)):
@@ -191,6 +188,9 @@ def _report_rows(payload: dict) -> list[str]:
         raise TypeError("lam, handover_prob and cell_range_miles must be numbers, seed an integer")
     if not all(isinstance(vs, list) and all(type(v) in (int, float) for v in vs) for vs in per_epoch):
         raise TypeError("train_losses and val_maes must be lists of numbers")
+    if type(epochs) is not int or any(len(vs) != epochs for vs in per_epoch):
+        raise ValueError(f"train_losses and val_maes must each hold epochs values; epochs is {epochs!r}, "
+                         f"their lengths {[len(vs) for vs in per_epoch]}")
     return [_csv_row([*key, epoch, *values]) for epoch, values in enumerate(zip(*per_epoch), start=1)]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .calls import ScenarioConfig
 from .errors import ConfigError
@@ -35,6 +35,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     if not parts:
         raise ValueError("empty list")
     return tuple(int(p) for p in parts)
+
+
+# (parse, format) of each value type, keyed by the type of a field's default.
+_CODECS: dict[type, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    int: (int, str),
+    float: (float, repr),
+    str: (str, str),
+    tuple: (_parse_int_list, lambda v: ",".join(map(str, v))),  # split and seeds
+}
 
 
 @dataclass
@@ -65,9 +75,6 @@ class AppConfig:
     seeds: tuple[int, ...] = (1, 2, 3)  # per-run seeds
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         """Check the keys no domain type owns, then let the run's specs check the rest."""
         checks = [
             (self.days >= 1, "days must be >= 1"),
@@ -100,30 +107,14 @@ class AppConfig:
     # -- parsing ---------------------------------------------------------
 
     @classmethod
-    def _converters(cls) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in fields(cls):
-            if f.name in ("split", "seeds"):
-                out[f.name] = _parse_int_list
-            elif f.type == "bool" or isinstance(f.default, bool):
-                out[f.name] = _parse_bool
-            elif isinstance(f.default, int):
-                out[f.name] = int
-            elif isinstance(f.default, float):
-                out[f.name] = float
-            else:
-                out[f.name] = str
-        return out
-
-    @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "AppConfig":
-        converters = cls._converters()
+        parsers = {f.name: _CODECS[type(f.default)][0] for f in fields(cls)}
         values: dict[str, Any] = {}
         for key, raw in mapping.items():
-            if key not in converters:
+            if key not in parsers:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                values[key] = converters[key](raw)
+                values[key] = parsers[key](raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
         return cls(**values)
@@ -145,13 +136,7 @@ class AppConfig:
             if isinstance(value, str) and (value != value.strip() or not {"#", "\r", "\n"}.isdisjoint(value)
                                            or value.encode("utf-8", "ignore").decode("utf-8") != value):
                 raise ConfigError(f"{f.name} {value!r} cannot be written to a config file as itself")
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{f.name} = {_CODECS[type(f.default)][1](value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -159,7 +144,8 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Read `key = value` lines of UTF-8 text; `#` starts a comment, blank lines ignored."""
     mapping: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")  # each line break read as "\n"
+        # A leading byte-order mark is dropped; each line break is read as "\n".
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for lineno, line in enumerate(text.split("\n"), start=1):

@@ -21,6 +21,7 @@ from .errors import ConfigError, LoadcastError, WorkerDied, describe
 from .features import (
     FEATURE_NAMES,
     MODE_COLUMNS,
+    NormStats,
     SplitWindows,
     WindowSet,
     build_feature_matrix,
@@ -103,13 +104,10 @@ def derive_scenario(spec: ExperimentSpec) -> ScenarioConfig:
     return replace(spec.scenario, seed=derive_int(spec.seed, "simulate"))
 
 
-def prepare_windows(
-    spec: ExperimentSpec, road: RoadSeries
-) -> tuple[SplitWindows, Any, float]:
+def prepare_windows(spec: ExperimentSpec, road: RoadSeries) -> tuple[SplitWindows, NormStats]:
     """Simulate, fuse, normalize (train statistics only) and window the data.
 
-    Returns the split windows, the fitted normalizer and the raw-scale std of
-    the call-count feature (for de-normalizing reported errors).
+    Returns the split windows and the normalizer fitted on the training rows.
     """
     calls = simulate_calls(road, derive_scenario(spec))
     raw = build_feature_matrix(road, calls)
@@ -130,7 +128,7 @@ def prepare_windows(
         POINTS_PER_DAY,
         road.gap_indices(),
     )
-    return windows, stats, float(stats.std[-1])
+    return windows, stats
 
 
 def naive_baseline(windows: WindowSet) -> float:
@@ -143,7 +141,7 @@ def naive_baseline(windows: WindowSet) -> float:
 def run_experiment(spec: ExperimentSpec, road: RoadSeries) -> RunReport:
     """Train on the first split, early-stop on the second, report on the third."""
     started = time.perf_counter()
-    windows, stats, calls_std = prepare_windows(spec, road)
+    windows, stats = prepare_windows(spec, road)
 
     result: TrainingResult = train_forecaster(
         windows.train, windows.val, spec.training, derive_rng(spec.seed, "train")
@@ -159,10 +157,10 @@ def run_experiment(spec: ExperimentSpec, road: RoadSeries) -> RunReport:
         mode=spec.feature_mode,
         seed=spec.seed,
         test_mae=test_mae,
-        test_mae_raw=test_mae * calls_std,
+        test_mae_raw=test_mae * float(stats.std[-1]),  # calls is last in every mode
         val_mae=min(result.val_maes),
         baseline_mae=naive_baseline(windows.test),
-        epochs=result.epochs_run,
+        epochs=len(result.train_losses),
         best_epoch=result.best_epoch,
         train_losses=result.train_losses,
         val_maes=result.val_maes,

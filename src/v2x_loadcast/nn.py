@@ -45,8 +45,9 @@ buffers whose first row is the zero initial state. `backward` writes each
 step's pre-activation gradients into one (M, B, G*H) buffer and computes the
 W_x, W_h and b gradients after the loop with one GEMM or sum each.
 
-`forward` broadcasts over the leading model axes of a stacked `flat`: every
-model reads the same inputs, the GEMMs are stacked `matmul`s, and time stays
+`forward` takes a (B, M, D) batch of windows only (one window is B = 1) and
+broadcasts over the leading model axes of a stacked `flat`: every model
+reads the same inputs, the GEMMs are stacked `matmul`s, and time stays
 the first axis, so the gate buffer is (M, *lead, B, G*H) and the states
 (M+1, *lead, B, H). The gate buffer is the one input GEMM's
 (*lead, M*B, G*H) result made C-contiguous and time-major by one line: for
@@ -213,15 +214,13 @@ class ForwardTrace:
 
 def _as_batch(inputs: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None, :, :]
     if x.ndim != 3 or x.shape[2] != d or x.shape[1] < 1:
         raise ShapeMismatch(f"inputs {x.shape} incompatible with input size {d}")
     return x
 
 
 def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the window through the cell; returns predictions (*lead, B, T_out) and the trace."""
+    """Run (B, M, D) windows through the cell; returns predictions (*lead, B, T_out) and the trace."""
     x = _as_batch(inputs, params.input_size)
     bsz, m, d = x.shape
     lead = params.flat.shape[:-1]  # () for one model

@@ -50,7 +50,6 @@ class TrainingResult:
     train_losses: list[float] = field(default_factory=list)
     val_maes: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 1-based
-    epochs_run: int = 0
 
 
 EVAL_BATCH = 512  # windows per evaluation forward call
@@ -111,7 +110,6 @@ def train_forecaster(
         result.train_losses.append(train_loss)
         val_mae = evaluate_mae(params, val)
         result.val_maes.append(val_mae)
-        result.epochs_run = epoch
         if not (np.isfinite(train_loss) and np.isfinite(val_mae) and val_mae <= mae_limit):
             if result.best_epoch == 0:
                 over = f" > {mae_limit:.4g}, {DIVERGED_MAE_RATIO:g} times the MAE of predicting zero"

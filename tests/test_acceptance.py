@@ -136,7 +136,7 @@ def test_criterion_7_pipeline_hygiene(road20):
     spec = ExperimentSpec(
         ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5), "net_road", seed=1
     )
-    _, used_stats, _ = prepare_windows(spec, road20)
+    _, used_stats = prepare_windows(spec, road20)
     raw = build_feature_matrix(road20, simulate_calls(road20, derive_scenario(spec)))
     train_rows = 12 * 288
     train_fit = fit_normalizer(raw[:train_rows], FEATURE_NAMES)

@@ -304,7 +304,7 @@ def bad_paths(tmp_path_factory, one_day_csv):
     good_runs = root / "runs"
     good_runs.mkdir()
     report = {"scenario_id": "s", "lam": 0.2, "handover_prob": 0.5, "cell_range_miles": 1.5,
-              "mode": "net", "seed": 1, "train_losses": [1.0], "val_maes": [0.5]}
+              "mode": "net", "seed": 1, "epochs": 1, "train_losses": [1.0], "val_maes": [0.5]}
     (good_runs / "s.json").write_text(json.dumps(report))
     bad_reports = {
         "binary_report": b"\xff\xfe{",
@@ -485,7 +485,7 @@ def _config_not_utf8(tmp_path):
 
 # The fields of a run report that `report` reads, well formed.
 _REPORT = {"scenario_id": "r1.5_l0.2_h0.5", "lam": 0.2, "handover_prob": 0.5, "cell_range_miles": 1.5,
-           "mode": "net", "seed": 1, "train_losses": [1.0, 0.5], "val_maes": [0.9, 0.8]}
+           "mode": "net", "seed": 1, "epochs": 2, "train_losses": [1.0, 0.5], "val_maes": [0.9, 0.8]}
 
 
 def _malformed_report(text="{"):
@@ -574,6 +574,13 @@ class TestDispatch:
         pytest.param(_report_with(train_losses=[1.0, "x,y"]), 1, "MalformedReport",
                      id="report-epoch-value-string"),
         pytest.param(_report_with(val_maes="0.9"), 1, "MalformedReport", id="report-epochs-not-a-list"),
+        # Each of these would drop or invent epoch rows without a word.
+        pytest.param(_report_with(epochs=3, train_losses=[1.0, 0.5, 0.4], val_maes=[0.9]), 1,
+                     "MalformedReport", id="report-epoch-lists-disagree"),
+        pytest.param(_report_with(epochs=3), 1, "MalformedReport", id="report-epochs-not-list-length"),
+        pytest.param(_report_with(epochs=2.0), 1, "MalformedReport", id="report-epochs-float"),
+        pytest.param(_report_with(epochs=True, train_losses=[1.0], val_maes=[0.9]), 1,
+                     "MalformedReport", id="report-epochs-bool"),
     ])
     def test_line_break_in_a_path_stays_on_one_line(self, make_argv, code, kind, tmp_path,
                                                     capsys):
@@ -599,6 +606,14 @@ class TestDispatch:
             assert line.startswith("error: ImportError: ") and "numpy" in line, line
         else:  # the CLI module has no import guard of its own
             assert run.stderr.startswith("Traceback"), run.stderr
+
+    def test_config_with_a_byte_order_mark_reads_its_keys(self, tmp_path, monkeypatch):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfdays = 2\n")  # as some Windows editors save UTF-8
+        monkeypatch.setattr(cli, "run_scenario_grid", lambda specs, road: [])
+        dumped, out = tmp_path / "resolved.cfg", str(tmp_path / "o")
+        assert dispatch(["run", "--config", str(path), "--dump-config", str(dumped), "--out", out]) == 0
+        assert AppConfig.from_file(str(dumped)) == AppConfig(days=2, out_dir=out)
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "lamda = 0.2")

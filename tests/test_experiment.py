@@ -29,6 +29,7 @@ from v2x_loadcast.experiment import (
     table_scenarios,
 )
 from v2x_loadcast.features import WindowSet, fit_normalizer, FEATURE_NAMES
+from v2x_loadcast.rng import derive_int, derive_rng
 from v2x_loadcast.road import RoadSeries, synthesize_road_series
 from v2x_loadcast.training import TrainingConfig
 
@@ -55,6 +56,20 @@ def use_row_path(monkeypatch, path) -> None:
         monkeypatch.setattr(experiment, "openblas_function", _no_blas_setter)
     else:
         monkeypatch.setenv(experiment.THREADS_ENV, str(path))
+
+
+class TestSeedStreams:
+    """Every run's randomness comes from these streams; a changed value changes every output."""
+
+    def test_derived_seeds_are_pinned(self):
+        got = [derive_int(s, label) for s in (0, 1, 2**32 + 5) for label in ("synth", "simulate")]
+        assert got == [2040532768, 896789747, 962633333, 4063852668, 611569847, 4238636311]
+        assert derive_rng(1, "train").integers(1 << 62) == 2791111243330841505
+
+    @pytest.mark.parametrize("derive", [derive_int, derive_rng])
+    def test_negative_root_seed_is_config_error(self, derive):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            derive(-1, "train")
 
 
 class TestRunExperiment:
@@ -88,15 +103,15 @@ class TestRunExperiment:
     def test_raw_mae_is_std_scaled(self, road6):
         report = run_experiment(small_spec(), road6)
         spec = small_spec()
-        _, stats, calls_std = prepare_windows(spec, road6)
-        assert report.test_mae_raw == pytest.approx(report.test_mae * calls_std)
+        _, stats = prepare_windows(spec, road6)
+        assert report.test_mae_raw == pytest.approx(report.test_mae * stats.std[-1])
         assert report.norm_checksum == stats.checksum()
 
 
 class TestLeakage:
     def test_normalizer_fitted_on_train_rows_only(self, road6):
         spec = small_spec()
-        _, stats, _ = prepare_windows(spec, road6)
+        _, stats = prepare_windows(spec, road6)
         from v2x_loadcast.calls import simulate_calls
         from v2x_loadcast.experiment import derive_scenario
         from v2x_loadcast.features import build_feature_matrix

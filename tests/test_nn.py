@@ -154,17 +154,11 @@ class TestForward:
         x = rng.normal(size=(5, 7, 3))
         assert np.array_equal(predict(params, x), predict(params, x))
 
-    def test_single_window_without_batch_axis(self):
-        rng = np.random.default_rng(2)
-        params = init_parameters("lstm", 3, 4, rng)
-        x = rng.normal(size=(6, 3))
-        batched = predict(params, x[None])
-        assert np.array_equal(predict(params, x), batched)
-
     def test_wrong_input_dim_rejected(self):
         params = zero_params("lstm", d=3)
-        with pytest.raises(ShapeMismatch):
-            forward(params, np.ones((1, 5, 2)))
+        for x in (np.ones((1, 5, 2)), np.ones((5, 3))):  # one (M, D) window needs its batch axis too
+            with pytest.raises(ShapeMismatch):
+                forward(params, x)
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_states_stay_finite_over_long_windows(self, cell):

@@ -50,8 +50,7 @@ def test_cells_are_interchangeable_in_the_loop(cell):
     val = last_value_windows(60, 6, seed=2)
     config = TrainingConfig(cell=cell, hidden_size=8, max_epochs=3, patience=2)
     result = train_forecaster(train, val, config, np.random.default_rng(5))
-    assert result.epochs_run >= 1
-    assert len(result.train_losses) == result.epochs_run
+    assert len(result.train_losses) == len(result.val_maes) >= 1
     assert np.isfinite(result.val_maes).all()
     assert result.params.cell == cell
 
@@ -102,7 +101,7 @@ def test_training_bit_identical_to_unfolded_forward(cell, monkeypatch):
         grads = backward(result.params, trace, test.targets)
         runs[kernel] = (result, evaluate_mae(result.params, test), grads)
     (got, got_mae, got_grads), (ref, ref_mae, ref_grads) = runs[nn], runs[unfolded_nn]
-    assert got.epochs_run == 3
+    assert len(got.train_losses) == 3
     assert got.train_losses == ref.train_losses and got.val_maes == ref.val_maes
     assert got_mae == ref_mae
     assert np.array_equal(got.params.flat, ref.params.flat)
@@ -151,7 +150,7 @@ def test_late_divergence_keeps_best_epoch(cell, monkeypatch):
 
     monkeypatch.setattr(training, "evaluate_mae", evaluate_then_poison)
     result = train_forecaster(train, val, config, np.random.default_rng(5))
-    assert result.best_epoch == 1 and result.epochs_run == 2
+    assert result.best_epoch == 1 and len(result.train_losses) == 2
     assert np.isnan(result.train_losses[1]) and np.isnan(result.val_maes[1])
     assert result.val_maes[0] == first.val_maes[0]
     assert np.array_equal(result.params.flat, first.params.flat)
@@ -180,7 +179,7 @@ def test_late_finite_blow_up_keeps_best_epoch(monkeypatch):
     maes = iter([first.val_maes[0], 1.01 * limit])
     monkeypatch.setattr(training, "evaluate_mae", lambda params, windows: next(maes))
     result = train_forecaster(train, val, config, np.random.default_rng(5))
-    assert result.best_epoch == 1 and result.epochs_run == 2
+    assert result.best_epoch == 1 and len(result.train_losses) == 2
     assert np.array_equal(result.params.flat, first.params.flat)
 
 
