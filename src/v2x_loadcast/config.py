@@ -16,8 +16,10 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .calls import ScenarioConfig
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientData
 from .experiment import FEATURE_MODES, ExperimentSpec, grid_specs, table_scenarios
+from .features import split_day_counts
+from .road import POINTS_PER_DAY
 from .training import TrainingConfig
 
 
@@ -75,7 +77,8 @@ class AppConfig:
     seeds: tuple[int, ...] = (1, 2, 3)  # per-run seeds
 
     def __post_init__(self):
-        """Check the keys no domain type owns, then let the run's specs check the rest."""
+        """Check the keys no domain type owns, let the run's specs check the rest, then that a
+        synthesized road holds a window in each split (a road read from CSV is checked as it runs)."""
         checks = [
             (self.days >= 1, "days must be >= 1"),
             (self.impute in ("none", "hold"), "impute must be none or hold"),
@@ -91,6 +94,16 @@ class AppConfig:
             if not ok:
                 raise ConfigError(message)
         self.specs(table=False)
+        if self.road_csv:
+            return
+        try:
+            shortest = min(split_day_counts(self.days, self.split))
+        except InsufficientData as exc:
+            raise ConfigError(f"days: {exc}") from None
+        # A synthesized road has no gaps, so a split of d days holds d*288 - M - T + 1 windows.
+        if shortest * POINTS_PER_DAY < self.window + self.horizon:
+            raise ConfigError(f"days: {self.days} days split {self.split} leave {shortest} day(s) in a "
+                              f"split, too few for one window of {self.window}+{self.horizon} samples")
 
     def specs(self, table: bool) -> list[ExperimentSpec]:
         """The run's specs: the configured scenario, or with `table` the seven built-in ones."""

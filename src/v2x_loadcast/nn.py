@@ -268,10 +268,6 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
     return preds, ForwardTrace(x, preds, states, gates, **extra)
 
 
-def predict(params: ModelParameters, inputs: np.ndarray) -> np.ndarray:
-    return forward(params, inputs)[0]
-
-
 def backward(params: ModelParameters, trace: ForwardTrace, targets: np.ndarray) -> np.ndarray:
     """Exact gradient of mean((pred - target)^2) over the batch, as a (P,)
     vector laid out like `params.flat`.

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, Diverged, InsufficientData
 from .features import WindowSet
 from .metrics import loss_mse, metric_mae
-from .nn import ModelParameters, backward, forward, init_parameters, predict
+from .nn import ModelParameters, backward, forward, init_parameters
 from .optim import DEFAULT_DECAY, DEFAULT_EPSILON, DEFAULT_LEARNING_RATE, RMSPropState, rmsprop_step
 
 MAX_HIDDEN_SIZE = 1024  # a 32 MB recurrent weight matrix; the paper uses 32
@@ -62,7 +62,7 @@ DIVERGED_MAE_RATIO = 1e3
 def evaluate_mae(params: ModelParameters, windows: WindowSet) -> float:
     preds = np.concatenate(
         [
-            predict(params, windows.inputs(slice(s, s + EVAL_BATCH)))
+            forward(params, windows.inputs(slice(s, s + EVAL_BATCH)))[0]
             for s in range(0, len(windows), EVAL_BATCH)
         ]
     )

@@ -4,9 +4,12 @@ import io
 import json
 import os
 import re
+import resource
 import runpy
+import shutil
 import subprocess
 import sys
+import textwrap
 import threading
 from dataclasses import fields
 from pathlib import Path
@@ -22,7 +25,7 @@ from v2x_loadcast import cli
 from v2x_loadcast.calls import MAX_LAM
 from v2x_loadcast.cli import MAX_GRADCHECK_SEEDS, build_parser, dispatch
 from v2x_loadcast.config import AppConfig, parse_config_file
-from v2x_loadcast.road import MAX_SYNTH_DAYS
+from v2x_loadcast.road import FLOW_MAX, MAX_SYNTH_DAYS, POINTS_PER_DAY, SLOT_SECONDS
 from v2x_loadcast.errors import ConfigError, GapError
 from v2x_loadcast.training import MAX_HIDDEN_SIZE
 
@@ -74,6 +77,15 @@ class TestConfig:
             AppConfig.from_mapping({"handover_prob": "1.5"})
         with pytest.raises(ConfigError):
             AppConfig.from_mapping({"feature_mode": "roads"})
+
+    def test_synthesized_road_must_hold_a_window_in_each_split(self):
+        # 5 days split 3:1:1 leave one 288-sample day for val and test.
+        assert AppConfig.from_mapping({"days": "5", "window": "287"}).window == 287
+        for values in ({"days": "2"}, {"days": "5", "window": "288"}, {"days": "5", "window": "300"}):
+            with pytest.raises(ConfigError, match="^days: "):
+                AppConfig.from_mapping(values)
+        # A road read from CSV has its own length, checked when it is read.
+        assert AppConfig.from_mapping({"days": "2", "road_csv": "road.csv"}).days == 2
 
     def test_comments_and_duplicates(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -609,11 +621,11 @@ class TestDispatch:
 
     def test_config_with_a_byte_order_mark_reads_its_keys(self, tmp_path, monkeypatch):
         path = tmp_path / "bom.cfg"
-        path.write_bytes(b"\xef\xbb\xbfdays = 2\n")  # as some Windows editors save UTF-8
+        path.write_bytes(b"\xef\xbb\xbfdays = 3\n")  # as some Windows editors save UTF-8
         monkeypatch.setattr(cli, "run_scenario_grid", lambda specs, road: [])
         dumped, out = tmp_path / "resolved.cfg", str(tmp_path / "o")
         assert dispatch(["run", "--config", str(path), "--dump-config", str(dumped), "--out", out]) == 0
-        assert AppConfig.from_file(str(dumped)) == AppConfig(days=2, out_dir=out)
+        assert AppConfig.from_file(str(dumped)) == AppConfig(days=3, out_dir=out)
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "lamda = 0.2")
@@ -857,7 +869,7 @@ class TestDispatch:
     def test_unusable_out_fails_before_any_row(self, command, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(cli, "run_scenario_grid", _refuse_grid)
-        argv = [command, "--days", "2", "--seeds", "1", "--out", str(tmp_path / "file" / "x")]
+        argv = [command, "--days", "3", "--seeds", "1", "--out", str(tmp_path / "file" / "x")]
         assert dispatch(argv) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: NotADirectoryError: "), line
@@ -871,3 +883,104 @@ class TestDispatch:
         lines = csv_out.read_text().splitlines()
         assert lines[0].startswith("scenario_id,")
         assert len(lines) >= 2
+
+
+def _row(argv, code, kind=None, *, address_space_kb=None, timeout=60, warnings=False):
+    """A `python -m v2x_loadcast` case: its exit code and the Kind of its one error line
+    (None: stderr stays empty). With `warnings`, warning lines may follow that line."""
+    return pytest.param(argv.split(), code, kind, address_space_kb, timeout, warnings, id=argv)
+
+
+class TestProcessFailures:
+    """The failure contract of a real process: its exit code and one `error: <Kind>:` line."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, bad_paths):
+        """The directory the cases run in, holding the files their arguments name."""
+        root = tmp_path_factory.mktemp("process")
+        assert dispatch(["synth", "--days", "2", "--seed", "7", "--out", str(root / "r.csv")]) == 0
+        shutil.copy(bad_paths["<huge_flow>"], root / "huge.csv")
+        shutil.copy(bad_paths["<huge_field>"], root / "field.csv")
+        (root / "latin1.cfg").write_bytes(b"days = 2\n\xff\n")
+        (root / "not-a-dir").write_text("")
+        (root / "disagree").mkdir()
+        (root / "disagree" / "r.json").write_text(json.dumps(
+            {"scenario_id": "s", "lam": 0.2, "handover_prob": 0.5, "cell_range_miles": 1.5, "mode": "net",
+             "seed": 1, "epochs": 3, "train_losses": [1.0, 0.5, 0.4], "val_maes": [0.9]}
+        ))
+        # 60 days at FLOW_MAX: 173 M vehicles, whose one-byte call counts take 165 MiB.
+        (root / "flowmax.csv").write_text("timestamp,flow,speed\n" + "".join(
+            f"{SLOT_SECONDS * k},{FLOW_MAX},60\n" for k in range(60 * POINTS_PER_DAY)
+        ))
+        return root
+
+    @pytest.mark.parametrize("argv, code, kind, address_space_kb, timeout, warnings", [
+        _row("gradcheck --seeds 4", 0),
+        _row("gradcheck --seeds 2 --step 1e300", 1),  # NaN errors fail the check
+        _row("gradcheck --step 0", 2, "ConfigError"),
+        _row("gradcheck --seeds 99999999999999999999", 2, "ConfigError"),
+        _row("simulate --road r.csv --lambda nan --h 0.5 --range 1.5 --out c.csv", 2, "ConfigError"),
+        _row("simulate --road r.csv --lambda 1e300 --h 0.5 --range 1.5 --out c.csv", 2, "ConfigError"),
+        _row("simulate --road r.csv --lambda 0.2 --h 0.5 --range 1.5 --delta 300 --out c.csv", 2,
+             "ConfigError"),
+        _row("run --days 2 --set batch_size=0", 2, "ConfigError"),
+        _row("run --days 2 --set delta_s=300", 2, "ConfigError"),
+        _row("run --days 2 --set hidden_size=100000", 2, "ConfigError"),
+        _row("run --days 2 --seeds 1,1", 2, "ConfigError"),
+        # A synthesized road too short for the split fails before it is made.
+        _row("run --days 2", 2, "ConfigError"),
+        _row("run --days 5 --set window=300", 2, "ConfigError"),
+        _row("run --config latin1.cfg", 2, "ConfigError"),
+        # 60 days train for far longer than 20 s, so the timeout fails the case
+        # wherever the directory is made only after the rows have run.
+        _row("run --days 60 --seeds 1 --out not-a-dir/x", 1, "NotADirectoryError", timeout=20),
+        _row("ingest --input huge.csv", 1, "BoundsError"),
+        _row("simulate --road huge.csv --lambda 0.2 --h 0.5 --range 1.5 --out c.csv", 1, "BoundsError"),
+        _row("ingest --input field.csv", 1, "MalformedRow"),
+        _row("simulate --road field.csv --lambda 0.2 --h 0.5 --range 1.5 --out c.csv", 1, "MalformedRow"),
+        # 180 000 KB leaves room for the import and the 60-day parse, not for the
+        # call counts (a 10-day road's 27 MiB would fit).
+        _row("simulate --road flowmax.csv --lambda 0.2 --h 0.5 --range 1.5 --out c.csv", 1, "MemoryError",
+             address_space_kb=180_000),
+        _row("report --runs disagree --out disagree.csv", 1, "MalformedReport"),
+        # All three seeds diverge: the first row's error line, then a warning per row.
+        _row("run --days 10 --set learning_rate=1e100 --set max_epochs=3 "
+             "--set feature_mode=net_road --out div", 1, "Diverged", warnings=True),
+    ])
+    def test_exit_code_and_error_line(self, inputs, argv, code, kind, address_space_kb, timeout,
+                                      warnings):
+        def limit_address_space():  # in the child only, as `ulimit -v` would
+            resource.setrlimit(resource.RLIMIT_AS, (address_space_kb * 1024,) * 2)
+
+        run = subprocess.run(
+            [sys.executable, "-m", "v2x_loadcast", *argv], cwd=inputs,
+            env=dict(_src_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+            timeout=timeout, preexec_fn=limit_address_space if address_space_kb else None,
+        )
+        lines = run.stderr.splitlines()
+        assert run.returncode == code, lines
+        if kind is None:
+            assert lines == []
+            return
+        if warnings:
+            assert all(line.startswith("warning: ") for line in lines[1:]), lines
+            lines = lines[:1]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: "), lines
+
+
+def test_simulating_a_100_day_road_peaks_under_80_mb_rss(tmp_path):
+    # The peak is read as VmHWM, the high-water mark of the process's own pages:
+    # its `ru_maxrss` would keep that of this process, from which it was forked.
+    script = textwrap.dedent(r"""
+        import re
+        from pathlib import Path
+        from v2x_loadcast.cli import dispatch
+        assert dispatch(["synth", "--days", "100", "--seed", "1", "--out", "r100.csv"]) == 0
+        assert dispatch(["simulate", "--road", "r100.csv", "--lambda", "0.6", "--h", "0.5",
+                         "--range", "1.5", "--out", "c100.csv"]) == 0
+        print(re.search(r"VmHWM:\s+(\d+) kB", Path("/proc/self/status").read_text()).group(1))
+    """)
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_src_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.splitlines()[-1]) / 1024 <= 80  # peak RSS, MB

@@ -64,7 +64,3 @@ def forward(params, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
         extra = {"hh_n": hh[..., ns:]}
     preds = states[m] @ params.w_out + params.b_out
     return preds, ForwardTrace(x, preds, states, gates, **extra)
-
-
-def predict(params, inputs: np.ndarray) -> np.ndarray:
-    return forward(params, inputs)[0]
