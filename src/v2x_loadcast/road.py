@@ -335,8 +335,8 @@ def synthesize_road_series(days: int, seed: int) -> RoadSeries:
             + 240.0 * _gaussian_bump(hours, 12.8, 3.6)
         )
         envelope = np.empty(POINTS_PER_DAY)
-        for k in range(POINTS_PER_DAY):
-            env_state = env_phi * env_state + rng.normal(0.0, env_step)
+        for k, step in enumerate(rng.normal(0.0, env_step, POINTS_PER_DAY).tolist()):
+            env_state = env_phi * env_state + step
             envelope[k] = env_state
         flow = profile * np.exp(envelope + rng.normal(0.0, 0.015, POINTS_PER_DAY))
 

@@ -1,7 +1,11 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import golden
+import v2x_loadcast
 from v2x_loadcast.road import POINTS_PER_DAY, SLOT_SECONDS, RoadSeries
 
 
@@ -14,6 +18,12 @@ def constant_series(timestamps, flow: int = 10, speed: float = 60.0) -> RoadSeri
 def no_thread(thread):
     """A `threading.Thread.start` for a process that has run out of threads."""
     raise RuntimeError("can't start new thread")
+
+
+def src_env() -> dict[str, str]:
+    """This process's environment with the package's source directory on PYTHONPATH."""
+    src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def steady_series(days: int, flow: int, speed: float, start: int = 0) -> RoadSeries:

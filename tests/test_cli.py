@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import re
 import resource
 import runpy
@@ -19,8 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import no_thread
-import v2x_loadcast
+from conftest import no_thread, src_env
 from v2x_loadcast import cli
 from v2x_loadcast.calls import MAX_LAM
 from v2x_loadcast.cli import MAX_GRADCHECK_SEEDS, build_parser, dispatch
@@ -514,12 +512,6 @@ def _report_with(**fields):
     return _malformed_report(json.dumps({**_REPORT, **fields}))
 
 
-def _src_env() -> dict[str, str]:
-    """This process's environment with the package's source directory on PYTHONPATH."""
-    src = str(Path(v2x_loadcast.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def _console_script_target() -> str:
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     return re.search(r'^v2x-loadcast = "(.+)"$', pyproject, re.MULTILINE).group(1)
@@ -542,7 +534,7 @@ class TestDispatch:
     def test_python_dash_m_entry(self, tmp_path):
         run = lambda *argv: subprocess.run(
             [sys.executable, "-m", "v2x_loadcast", *argv],
-            env=_src_env(), capture_output=True, text=True, timeout=60,
+            env=src_env(), capture_output=True, text=True, timeout=60,
         )
         shown = run("--help")
         assert shown.returncode == 0 and "usage:" in shown.stdout
@@ -610,7 +602,7 @@ class TestDispatch:
         # What an installed script calling `target` does where numpy cannot be imported.
         module, func = target.split(":")
         script = f"import sys; sys.modules['numpy'] = None; from {module} import {func}; {func}()"
-        run = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+        run = subprocess.run([sys.executable, "-c", script], env=src_env(),
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 1 and run.stdout == ""
         if guarded:
@@ -721,7 +713,7 @@ class TestDispatch:
             "runpy.run_module('v2x_loadcast', run_name='__main__', alter_sys=True)"
         )
         run = subprocess.run(
-            [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
+            [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
             timeout=60,
         )
         assert run.returncode == 1 and run.stdout == ""
@@ -954,7 +946,7 @@ class TestProcessFailures:
 
         run = subprocess.run(
             [sys.executable, "-m", "v2x_loadcast", *argv], cwd=inputs,
-            env=dict(_src_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+            env=dict(src_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
             timeout=timeout, preexec_fn=limit_address_space if address_space_kb else None,
         )
         lines = run.stderr.splitlines()
@@ -980,7 +972,7 @@ def test_simulating_a_100_day_road_peaks_under_80_mb_rss(tmp_path):
                          "--range", "1.5", "--out", "c100.csv"]) == 0
         print(re.search(r"VmHWM:\s+(\d+) kB", Path("/proc/self/status").read_text()).group(1))
     """)
-    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_src_env(),
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=src_env(),
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert int(run.stdout.splitlines()[-1]) / 1024 <= 80  # peak RSS, MB

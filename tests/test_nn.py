@@ -1,6 +1,11 @@
 import math
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import unfolded_nn
 import v2x_loadcast.gradcheck as gc
+from conftest import src_env
 from reference_gradcheck import reference_numerical_gradients
 from reference_nn import reference_backward, reference_forward
 from v2x_loadcast.errors import EmptyBatch, ShapeMismatch
@@ -21,6 +27,7 @@ from v2x_loadcast.nn import (
     backward,
     forward,
     init_parameters,
+    pin_heap_thresholds,
 )
 from v2x_loadcast.optim import RMSPropState, rmsprop_step
 
@@ -607,3 +614,79 @@ class TestParameters:
         params = init_parameters("lstm", 1, 2, np.random.default_rng(8))
         params.flat[3] = np.nan
         assert np.isnan(params.copy().w_x[0, 3])
+
+
+# A fresh process, warmed up, then counting its minor page faults over the
+# `gradcheck` workload's 20 models and 50 LSTM B=32 training steps.
+FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from v2x_loadcast import gradcheck, nn, optim
+
+    def check_models(first):
+        for k in range(20):
+            gradcheck.check_random_model(first + k, "lstm" if k % 2 == 0 else "gru",
+                                         3 if k % 4 < 2 else 1)
+
+    def faults(work, arg):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        work(arg)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    check_models(0)
+    per_model = faults(check_models, 100) / 20
+
+    rng = np.random.default_rng(1)
+    params = nn.init_parameters("lstm", 3, 32, rng)
+    state = optim.RMSPropState.for_parameters(params)
+    x, y = rng.normal(size=(32, 18, 3)), rng.normal(size=(32, 1))
+
+    def train_step():  # frees all it allocated when it returns
+        trace = nn.forward(params, x)[1]
+        optim.rmsprop_step(params, nn.backward(params, trace, y), state)
+
+    def train_steps(n):
+        for _ in range(n):
+            train_step()
+
+    train_steps(10)
+    print(per_model, faults(train_steps, 50) / 50)
+""")
+
+# Importing the package under a fake C library: one without mallopt, or none at all.
+FAKE_LIBC = {
+    "no-mallopt": "ctypes.CDLL = lambda name: object()",
+    "no-library": "def no_library(name):\n    raise OSError('cannot load')\nctypes.CDLL = no_library",
+}
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(
+        not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
+        reason="the pinned thresholds and ru_minflt are Linux/glibc's",
+    )
+    def test_steady_state_gradcheck_and_training_take_no_minor_faults(self):
+        # Unpinned, glibc trims the heap or maps arrays afresh between calls:
+        # 30-100 faults per model and about 380 per step, with the history.
+        run = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+                             env=dict(src_env(), OPENBLAS_NUM_THREADS="1"), timeout=60)
+        assert run.returncode == 0, run.stderr
+        per_model, per_step = map(float, run.stdout.split())
+        assert per_model < 5 and per_step < 5, (per_model, per_step)
+
+    def test_pin_sets_glibc_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = []
+        library = SimpleNamespace(mallopt=lambda *args: calls.append(args))
+        monkeypatch.setattr("ctypes.CDLL", lambda name: library)
+        pin_heap_thresholds()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("fake", FAKE_LIBC.values(), ids=FAKE_LIBC.keys())
+    def test_without_mallopt_the_pin_does_nothing_and_the_package_imports(self, fake):
+        script = f"import ctypes\nimport numpy\n{fake}\n" + textwrap.dedent("""
+            from v2x_loadcast.cli import dispatch  # imports nn, which calls the pin
+            assert dispatch(["gradcheck", "--seeds", "1"]) == 0
+        """)
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=src_env(), timeout=60)
+        assert run.returncode == 0, run.stderr
