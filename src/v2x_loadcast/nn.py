@@ -38,13 +38,12 @@ halved pre-activations are bit for bit 0.5 times the plain ones. An LSTM
 step then activates its whole (B, 4H) row with one tanh and one
 `a * scale + offset` (0.5 and 0.5 on the sigmoid columns, 1 and 0 on g);
 the GRU does the same on its r, z columns before n, which needs r. One GEMM
-(at D = 1 a broadcast outer product) computes the input projection of the
-whole window into a time-major (M, B, G*H) buffer; each step adds h' W_h to
-its slice and activates it in place, and hidden (and LSTM cell) states go
-into preallocated (M+1, B, H) buffers whose first row is the zero initial
-state. `backward` writes each step's pre-activation gradients into one
-(M, B, G*H) buffer and computes the W_x, W_h and b gradients after the loop
-with one GEMM or sum each.
+computes the input projection of the whole window into a time-major
+(M, B, G*H) buffer; each step adds h' W_h to its slice and activates it in
+place, and hidden (and LSTM cell) states go into preallocated (M+1, B, H)
+buffers whose first row is the zero initial state. `backward` writes each
+step's pre-activation gradients into one (M, B, G*H) buffer and computes the
+W_x, W_h and b gradients after the loop with one GEMM or sum each.
 
 `forward` takes a (B, M, D) batch of windows only (one window is B = 1) and
 broadcasts over the leading model axes of a stacked `flat`: every model
@@ -71,6 +70,7 @@ from __future__ import annotations
 import copy
 import ctypes
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,9 +81,10 @@ GATE_BLOCKS = {"lstm": 4, "gru": 3}
 SIGMOID_BLOCKS = {"lstm": 3, "gru": 2}  # leading gate blocks
 TENSOR_NAMES = ("w_x", "w_h", "b", "w_out", "b_out")  # their order in `ModelParameters.flat`
 TENSOR_NDIMS = (2, 2, 1, 2, 1)  # the axes of each per model, after any leading model axes
-# glibc's mallopt parameters and the values its dynamic mmap threshold rule
-# tops out at on 64-bit (32 MiB, and twice that for the trim threshold).
-HEAP_THRESHOLDS = {-3: 32 << 20, -1: 64 << 20}  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+# glibc's name for each heap threshold: its mallopt parameter and the value
+# glibc's dynamic mmap threshold rule tops out at on 64-bit (32 MiB, and twice
+# that for the trim threshold).
+HEAP_THRESHOLDS = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 64 << 20)}
 
 
 def pin_heap_thresholds() -> None:
@@ -94,15 +95,20 @@ def pin_heap_thresholds() -> None:
     so the next call faults the same pages back in: 30-100 minor faults per
     gradcheck model and about 380 per B=32 LSTM training step, depending on
     what the process freed before. Pinned, the heap keeps them. Arithmetic is
-    untouched. Does nothing where there is no C library handle or no mallopt.
+    untouched. A threshold already set through glibc's own environment
+    (`MALLOC_TRIM_THRESHOLD_`, say, or `glibc.malloc.trim_threshold` in
+    `GLIBC_TUNABLES`) is left as set. Does nothing where there is no C library
+    handle or no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # TypeError: Windows takes no None
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param, value in HEAP_THRESHOLDS.items():
-        mallopt(param, value)
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    for name, (param, value) in HEAP_THRESHOLDS.items():
+        if f"MALLOC_{name.upper()}_" not in os.environ and f"glibc.malloc.{name}=" not in tunables:
+            mallopt(param, value)
 
 
 pin_heap_thresholds()  # once per process: every compute path imports nn
@@ -258,10 +264,7 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
     scale = np.ones(GATE_BLOCKS[cell] * hs)
     scale[:ns] = 0.5
     xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
-    w_x = params.w_x * scale
-    # At D = 1 the product is an outer product, exact as a broadcast multiply,
-    # which numpy runs several times faster than its K = 1 matmul.
-    gates = (xt * w_x if d == 1 else xt @ w_x).reshape(*lead, m, bsz, -1)
+    gates = (xt @ (params.w_x * scale)).reshape(*lead, m, bsz, -1)
     gates = np.ascontiguousarray(np.moveaxis(gates, len(lead), 0))  # copies a stack only
     gates += (params.b * scale)[..., None, :]  # biases broadcast over B
     w_h = params.w_h * scale

@@ -315,21 +315,22 @@ class TestStackedForward:
     @pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
     def test_each_model_matches_its_own_forward(self, cell, lead):
         rng = np.random.default_rng(31)
-        params = init_parameters(cell, 3, 4, rng, out_size=2)
-        stack = params.flat + rng.normal(0.0, 0.5, (*lead, params.flat.size))
-        for batch in (3, 1):
-            x = rng.normal(0.0, 1.0, (batch, 5, 3))
-            preds, trace = forward(params.with_flat(stack), x)
-            assert preds.shape == (*lead, batch, 2)
-            assert trace.gates.shape == (5, *lead, batch, 4 * GATE_BLOCKS[cell])
-            assert trace.h_prev.shape == (5, *lead, batch, 4)
-            assert trace.gates.flags.c_contiguous  # each step's activations read whole rows
-            for k in np.ndindex(lead):
-                one, one_trace = forward(params.with_flat(stack[k]), x)
-                assert np.array_equal(preds[k], one), (batch, k)
-                for name in ("states", "gates"):
-                    got = getattr(trace, name)[(slice(None), *k)]
-                    assert np.array_equal(got, getattr(one_trace, name)), (batch, name, k)
+        for d in (3, 1):  # D = 1 is every Net-mode model
+            params = init_parameters(cell, d, 4, rng, out_size=2)
+            stack = params.flat + rng.normal(0.0, 0.5, (*lead, params.flat.size))
+            for batch in (3, 1):
+                x = rng.normal(0.0, 1.0, (batch, 5, d))
+                preds, trace = forward(params.with_flat(stack), x)
+                assert preds.shape == (*lead, batch, 2)
+                assert trace.gates.shape == (5, *lead, batch, 4 * GATE_BLOCKS[cell])
+                assert trace.h_prev.shape == (5, *lead, batch, 4)
+                assert trace.gates.flags.c_contiguous  # each step's activations read whole rows
+                for k in np.ndindex(lead):
+                    one, one_trace = forward(params.with_flat(stack[k]), x)
+                    assert np.array_equal(preds[k], one), (d, batch, k)
+                    for name in ("states", "gates"):
+                        got = getattr(trace, name)[(slice(None), *k)]
+                        assert np.array_equal(got, getattr(one_trace, name)), (d, batch, name, k)
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_one_model_allocates_its_gate_buffer_once(self, cell):
@@ -674,12 +675,24 @@ class TestHeapThresholds:
         per_model, per_step = map(float, run.stdout.split())
         assert per_model < 5 and per_step < 5, (per_model, per_step)
 
-    def test_pin_sets_glibc_mmap_and_trim_thresholds(self, monkeypatch):
+    @pytest.mark.parametrize("env, pinned", [
+        ({}, [(-3, 32 << 20), (-1, 64 << 20)]),  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        ({"MALLOC_TRIM_THRESHOLD_": "0"}, [(-3, 32 << 20)]),
+        ({"MALLOC_MMAP_THRESHOLD_": "4096"}, [(-1, 64 << 20)]),
+        ({"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=4096"}, [(-1, 64 << 20)]),
+        ({"GLIBC_TUNABLES": "glibc.malloc.tcache_count=0:glibc.malloc.trim_threshold=0"},
+         [(-3, 32 << 20)]),
+    ])
+    def test_pin_sets_each_threshold_glibc_was_not_given(self, monkeypatch, env, pinned):
+        for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         calls = []
         library = SimpleNamespace(mallopt=lambda *args: calls.append(args))
         monkeypatch.setattr("ctypes.CDLL", lambda name: library)
         pin_heap_thresholds()
-        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert calls == pinned
 
     @pytest.mark.parametrize("fake", FAKE_LIBC.values(), ids=FAKE_LIBC.keys())
     def test_without_mallopt_the_pin_does_nothing_and_the_package_imports(self, fake):
