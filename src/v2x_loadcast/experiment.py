@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import signal
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
@@ -44,6 +45,7 @@ BLAS_SETTERS = (
     "openblas_set_num_threads",
 )
 FEATURE_MODES = tuple(MODE_COLUMNS)
+PR_SET_PDEATHSIG = 1  # Linux prctl option: the signal a process gets when its parent thread exits
 
 
 @dataclass(frozen=True)
@@ -221,9 +223,27 @@ def _grid_row(spec: ExperimentSpec, road: RoadSeries) -> GridRow:
 _worker_road: RoadSeries | None = None  # the grid's road, in a forked worker
 
 
-def _init_worker(set_blas_threads, road: RoadSeries) -> None:
-    """Pin OpenBLAS to one thread and keep the road; `fork` hands both over unpickled."""
+def _init_worker(set_blas_threads, road: RoadSeries, parent: int) -> None:
+    """Tie the worker's life to its parent's, pin OpenBLAS to one thread and
+    keep the road; `fork` hands the setter and the road over unpickled.
+
+    Where the C library has Linux's prctl, the kernel sends the worker SIGKILL
+    once the thread that forked it exits: the pool forks every worker from
+    the thread that calls `run_scenario_grid` (on the first `submit`, for
+    the fork context on Python 3.10 and 3.11), which joins them before it
+    returns. A parent that died before that took effect is caught by the pid
+    check.
+    """
     global _worker_road
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no prctl
+        pass
+    else:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)  # -1 only for an invalid signal
+    if os.getppid() != parent:
+        os._exit(1)
     set_blas_threads(1)
     _worker_road = road
 
@@ -239,9 +259,10 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
     processes, one row or one worker included, with OpenBLAS pinned to one
     thread so that workers do not contend for cores. Workers get the road
     once, at fork, so tasks carry only their spec. The pool is created and
-    joined inside the call, so no process outlives it. Only a host without
-    `fork` or a known OpenBLAS setter runs the rows in this process, one
-    after another. Reports come back in spec order and do not depend on the
+    joined inside the call, so no process outlives it; on Linux a worker is
+    also killed when its parent dies. Only a host without `fork` or a known
+    OpenBLAS setter runs the rows in this process, one after another.
+    Reports come back in spec order and do not depend on the
     worker count. A row that runs out of memory fails with `MemoryError`. A
     worker that dies (killed by a signal, say) breaks the pool: every row
     not finished by then, its own and those running beside it, comes back
@@ -262,7 +283,7 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(set_blas_threads, road),
+        initargs=(set_blas_threads, road, os.getpid()),
     ) as pool:
         futures = [pool.submit(_worker_row, spec) for spec in specs]
         rows = []

@@ -34,35 +34,43 @@ once, so a seed gives the same gate weights in either layout. Sigmoid is
 evaluated as s(x) = 0.5 * tanh(0.5 x) + 0.5, which cannot overflow, and the
 halving of x lives in the weights: each call multiplies the sigmoid columns
 of W_x, W_h and b by 0.5, which is exact in binary floating point, so the
-halved pre-activations are bit for bit 0.5 times the plain ones. An LSTM
-step then activates its whole (B, 4H) row with one tanh and one
-`a * scale + offset` (0.5 and 0.5 on the sigmoid columns, 1 and 0 on g);
-the GRU does the same on its r, z columns before n, which needs r. One GEMM
-computes the input projection of the whole window into a time-major
-(M, B, G*H) buffer; each step adds h' W_h to its slice and activates it in
-place, and hidden (and LSTM cell) states go into preallocated (M+1, B, H)
-buffers whose first row is the zero initial state. `backward` writes each
-step's pre-activation gradients into one (M, B, G*H) buffer and computes the
-W_x, W_h and b gradients after the loop with one GEMM or sum each.
+halved pre-activations are bit for bit 0.5 times the plain ones. One GEMM
+computes the input projection of the whole window over all G*H columns. An
+LSTM step adds h' W_h to its time-major (M, B, 4H) gate buffer's row and
+activates the whole row in place with one tanh and one `a * scale + offset`
+(0.5 and 0.5 on the sigmoid columns, 1 and 0 on g). The GRU keeps its r, z
+columns in one (M, B, 2H) buffer and its candidate n, which needs r, in
+its own (M, B, H) buffer, copied out of the projection once, so that each
+activation also runs on whole rows; h' W_h stays one GEMM over all 3H
+columns per step, into an (M, B, 3H) buffer, because BLAS may sum a GEMM of
+one column block in another order (as a GEMV where the block or the batch
+is one wide), which would change the last bits. Hidden (and LSTM cell)
+states go into preallocated (M+1, B, H) buffers whose first row is the zero
+initial state. `backward` writes each step's pre-activation gradients into
+one (M, B, G*H) buffer and computes the W_x, W_h and b gradients after the
+loop with one GEMM or sum each.
 
 `forward` takes a (B, M, D) batch of windows only (one window is B = 1) and
 broadcasts over the leading model axes of a stacked `flat`: every model
 reads the same inputs, the GEMMs are stacked `matmul`s, and time stays
-the first axis, so the gate buffer is (M, *lead, B, G*H) and the states
-(M+1, *lead, B, H). The gate buffer is the one input GEMM's
-(*lead, M*B, G*H) result made C-contiguous and time-major by one line: for
-a stack an owned copy, made once per call, so each step's h' W_h add and
+the first axis, so the gate buffers are (M, *lead, B, .) and the states
+(M+1, *lead, B, H). The gate buffers are made C-contiguous and time-major
+from the input GEMM's (*lead, M*B, G*H) result: for a stack, or a GRU
+block, an owned copy, made once per call, so each step's h' W_h add and
 activation run on contiguous rows rather than on a strided view; for a
-single model (lead = ()) the result itself, already time-major. The biases
-broadcast over B as (*lead, 1, ...), so one model and a stack run the same
-lines. `backward` takes a single model only; its targets, like those of
-`gradcheck.numerical_gradients`, are (B, T_out).
+single LSTM the result itself, already time-major. The biases broadcast
+over time and B as (*lead, 1, 1, G*H), so one model and a stack run the
+same lines. `backward` takes a single model only; its targets, like those
+of `gradcheck.numerical_gradients`, are (B, T_out).
 
 `ForwardTrace`: `inputs` (B, M, D) as given and `preds` (*lead, B, T_out),
 then, time-major, `states` (M+1, *lead, B, H) and the activated `gates`
-(M, *lead, B, G*H); LSTM adds `cells` (M+1, *lead, B, H) and `tanh_c`
-(M, *lead, B, H), GRU adds `hh_n` (M, *lead, B, H), the h' W_hn term the
-reset gate scales. `h_prev` is a view of `states`.
+(M, *lead, B, G*H), G*H = 4H for the LSTM and 2H (r, z) for the GRU; LSTM
+adds `cells` (M+1, *lead, B, H) and `tanh_c` (M, *lead, B, H), GRU adds the
+activated candidate `cand` (M, *lead, B, H) and `hh_n` (M, *lead, B, H),
+the h' W_hn term the reset gate scales. `h_prev` is a view of `states`, and
+`model(k)` gives model k of a stacked trace as a one-model trace laid out
+for `backward`.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ import copy
 import ctypes
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -234,15 +242,32 @@ class ForwardTrace:
     inputs: np.ndarray  # (B, M, D) as given to `forward`
     preds: np.ndarray  # (*lead, B, T_out)
     states: np.ndarray  # (M+1, *lead, B, H) hidden state; states[0] = 0 enters step 0
-    gates: np.ndarray  # (M, *lead, B, G*H) activated gates
+    gates: np.ndarray  # (M, *lead, B, G*H) activated gates, LSTM i, f, o, g; GRU r, z only
     cells: np.ndarray | None = None  # LSTM (M+1, *lead, B, H) cell state; cells[0] = 0
     tanh_c: np.ndarray | None = None  # LSTM (M, *lead, B, H) tanh of cells[1:]
+    cand: np.ndarray | None = None  # GRU (M, *lead, B, H) activated candidate n
     hh_n: np.ndarray | None = None  # GRU (M, *lead, B, H) h_prev @ W_hn, for the reset gate
 
     @property
     def h_prev(self) -> np.ndarray:
         """(M, *lead, B, H) hidden state entering each step."""
         return self.states[:-1]
+
+    def model(self, k) -> "ForwardTrace":
+        """Model k of a stacked trace, k an index (or a tuple of them) into the
+        leading model axes, as a one-model trace of C-contiguous arrays.
+
+        Each is a view where the stack holds it contiguous (a stack of one
+        model), a copy otherwise: `backward` then reads a one-model trace's
+        layout (on strided views of a B = H = 1 stack BLAS sums the W_h
+        gradient in another order, a last-bit change), and copies let the
+        stack's buffers be freed.
+        """
+        k = k if isinstance(k, tuple) else (k,)
+        return replace(self, preds=np.ascontiguousarray(self.preds[k]), **{
+            name: np.ascontiguousarray(a[(slice(None), *k)])
+            for name, a in vars(self).items() if name not in ("inputs", "preds") and a is not None
+        })
 
 
 def _as_batch(inputs: np.ndarray, d: int) -> np.ndarray:
@@ -252,10 +277,25 @@ def _as_batch(inputs: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
+def _input_gates(params: ModelParameters, x: np.ndarray, scale: np.ndarray, *blocks: slice) -> list:
+    """(x W_x + b) * scale on each column block of the gates, as C-contiguous
+    time-major (M, *lead, B, .) buffers, from one GEMM over the whole window:
+    for one model's block of all columns (the LSTM's) that GEMM's result
+    itself, the bias added in place, otherwise a copy.
+    """
+    bsz, m, d = x.shape
+    lead = params.flat.shape[:-1]  # () for one model
+    xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
+    proj = (xt @ (params.w_x * scale)).reshape(*lead, m, bsz, -1)
+    proj += (params.b * scale)[..., None, None, :]
+    proj = np.moveaxis(proj, len(lead), 0)
+    return [np.ascontiguousarray(proj[..., cols]) for cols in blocks]
+
+
 def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Run (B, M, D) windows through the cell; returns predictions (*lead, B, T_out) and the trace."""
     x = _as_batch(inputs, params.input_size)
-    bsz, m, d = x.shape
+    bsz, m, _ = x.shape
     lead = params.flat.shape[:-1]  # () for one model
     cell, hs = params.cell, params.hidden_size
     ns = SIGMOID_BLOCKS[cell] * hs
@@ -263,15 +303,15 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
     # point, so the halved pre-activations equal 0.5 * (x W_x + h' W_h + b).
     scale = np.ones(GATE_BLOCKS[cell] * hs)
     scale[:ns] = 0.5
-    xt = x.transpose(1, 0, 2).reshape(m * bsz, d)  # time-major rows
-    gates = (xt @ (params.w_x * scale)).reshape(*lead, m, bsz, -1)
-    gates = np.ascontiguousarray(np.moveaxis(gates, len(lead), 0))  # copies a stack only
-    gates += (params.b * scale)[..., None, :]  # biases broadcast over B
-    w_h = params.w_h * scale
-    states = np.zeros((m + 1, *lead, bsz, hs))
 
+    # Each branch scales W_h and allocates its states after its input gates,
+    # so that neither adds to the moment a stack holds its GEMM result and
+    # the copies.
     if cell == "lstm":
         offset = 1.0 - scale
+        (gates,) = _input_gates(params, x, scale, np.s_[:])
+        w_h = params.w_h * scale
+        states = np.zeros((m + 1, *lead, bsz, hs))
         cells = np.zeros((m + 1, *lead, bsz, hs))
         tanh_c = np.empty((m, *lead, bsz, hs))
         for t in range(m):
@@ -285,18 +325,23 @@ def forward(params: ModelParameters, inputs: np.ndarray) -> tuple[np.ndarray, Fo
             np.multiply(o, tanh_c[t], out=states[t + 1])
         extra = {"cells": cells, "tanh_c": tanh_c}
     else:
-        hh = np.empty(gates.shape)  # time-major h_prev @ W_h per step, r and z columns halved
+        # r, z and n activated on whole rows of their own buffers; h' W_h
+        # stays one GEMM over all 3H columns (see Kernel, module docstring).
+        gates, cand = _input_gates(params, x, scale, np.s_[:ns], np.s_[ns:])
+        w_h = params.w_h * scale
+        states = np.zeros((m + 1, *lead, bsz, hs))
+        hh = np.empty((m, *lead, bsz, w_h.shape[-1]))  # time-major h_prev @ W_h per step, r and z halved
         for t in range(m):
-            a = gates[t]
+            a, n = gates[t], cand[t]
             np.matmul(states[t], w_h, out=hh[t])
-            a[..., :ns] += hh[t][..., :ns]
-            _activate(a[..., :ns], 0.5, 0.5)
-            r, z, n = a[..., :hs], a[..., hs:ns], a[..., ns:]
+            a += hh[t][..., :ns]
+            _activate(a, 0.5, 0.5)
+            r, z = a[..., :hs], a[..., hs:]
             n += r * hh[t][..., ns:]
             np.tanh(n, out=n)
             np.multiply(z, states[t], out=states[t + 1])
             states[t + 1] += (1.0 - z) * n
-        extra = {"hh_n": hh[..., ns:]}
+        extra = {"cand": cand, "hh_n": hh[..., ns:]}
     preds = states[m] @ params.w_out + params.b_out[..., None, :]
     return preds, ForwardTrace(x, preds, states, gates, **extra)
 
@@ -315,9 +360,9 @@ def backward(params: ModelParameters, trace: ForwardTrace, targets: np.ndarray) 
         raise ShapeMismatch(f"targets {targets.shape} vs predictions {trace.preds.shape}")
 
     gates = trace.gates
-    m, bsz, gh = gates.shape
+    m, bsz = gates.shape[:2]
     cell, hs = params.cell, params.hidden_size
-    ns = SIGMOID_BLOCKS[cell] * hs
+    gh, ns = GATE_BLOCKS[cell] * hs, SIGMOID_BLOCKS[cell] * hs
     d_pred = 2.0 * (trace.preds - targets) / targets.size  # (B, T_out)
 
     grad = np.empty_like(params.flat)
@@ -326,7 +371,7 @@ def backward(params: ModelParameters, trace: ForwardTrace, targets: np.ndarray) 
     d_pred.sum(axis=0, out=grad_of["b_out"])
     dh = d_pred @ params.w_out.T  # (B, H)
     w_h_t = params.w_h.T
-    da = np.empty_like(gates)  # pre-activation gradients
+    da = np.empty((m, bsz, gh))  # pre-activation gradients
 
     if cell == "lstm":
         # Activation derivatives from the outputs in one whole-row pass per step:
@@ -356,7 +401,7 @@ def backward(params: ModelParameters, trace: ForwardTrace, targets: np.ndarray) 
         # r and z see them directly, n through the reset gate (da_n * r).
         da_n = np.empty((m, bsz, hs))
         for t in range(m - 1, -1, -1):
-            sig, n = gates[t, :, :ns], gates[t, :, ns:]
+            sig, n = gates[t], trace.cand[t]
             r, z = sig[:, :hs], sig[:, hs:]
             d = da[t]
             np.multiply(dh, trace.states[t] - n, out=d[:, hs:ns])

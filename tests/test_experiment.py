@@ -4,6 +4,9 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from dataclasses import replace
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import src_env
 from v2x_loadcast.calls import ScenarioConfig, simulate_calls
 from v2x_loadcast import experiment
 from v2x_loadcast.cli import dispatch
@@ -317,6 +321,41 @@ class TestGrid:
         assert multiprocessing.active_children() == []
         assert _child_pids() == []
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+    def test_workers_die_with_their_parent(self):
+        if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
+            pytest.skip("no OpenBLAS thread setter in this process, so rows run serially")
+        # A grid whose two rows never finish, in a parent that is then killed.
+        script = textwrap.dedent("""
+            import time
+            from v2x_loadcast import experiment
+            from v2x_loadcast.road import synthesize_road_series
+            experiment.run_experiment = lambda spec, road: time.sleep(60)
+            specs = experiment.grid_specs(experiment.table_scenarios()[:2], seeds=[1])
+            experiment.run_scenario_grid(specs, synthesize_road_series(1, 1))
+        """)
+        env = dict(src_env(), **{experiment.THREADS_ENV: "2"})
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.05)
+                workers = _child_pids(parent.pid)
+            assert len(workers) == 2, (workers, parent.poll())
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 2
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            parent.kill()
+            parent.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(int(pid), signal.SIGKILL)
+
     def test_rows_run_in_workers_with_one_blas_thread(self, road6, monkeypatch):
         if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
             pytest.skip("no OpenBLAS thread setter in this process")
@@ -370,14 +409,23 @@ def _spawn_only():
     return ["spawn"]
 
 
-def _child_pids() -> list[str]:
+def _child_pids(pid="self") -> list[str]:
     children = []
-    for path in glob.glob("/proc/self/task/*/children"):
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
         try:
             children += Path(path).read_text().split()
         except FileNotFoundError:  # the thread ended after the glob; it has no children
             pass
     return children
+
+
+def _running(pid: str) -> bool:
+    """Whether process `pid` exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # Stand-ins for run_experiment. Workers are forked, so a monkeypatched module

@@ -4,12 +4,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,6 +23,7 @@ from v2x_loadcast.gradcheck import check_random_model, grad_check, numerical_gra
 from v2x_loadcast.metrics import loss_mse, metric_mae
 from v2x_loadcast.nn import (
     GATE_BLOCKS,
+    ForwardTrace,
     ModelParameters,
     backward,
     forward,
@@ -242,6 +243,31 @@ def _max_norm_error(new, ref):
     return float(np.max(np.abs(new - ref)) / max(np.max(np.abs(ref)), 1e-3))
 
 
+def assert_traces_equal(got: ForwardTrace, want: ForwardTrace, context=()) -> None:
+    """Every field of two traces bit for bit, or None in both."""
+    for f in fields(ForwardTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None and b is None) or np.array_equal(a, b), (*context, f.name)
+
+
+def assert_matches_unfolded(params, x, y, lead=(), seed=0) -> None:
+    """A stack of `lead` models around `params` (just `params` for lead = ())
+    against each model's own `forward`, and that against `unfolded_nn`: every
+    trace field and the gradient `backward` takes from each trace, bit for bit."""
+    rng = np.random.default_rng(seed)
+    stack = params.flat + (rng.normal(0.0, 0.1, (*lead, params.flat.size)) if lead else 0.0)
+    _, trace = forward(params.with_flat(stack), x)
+    for k in np.ndindex(lead):
+        one = params.with_flat(stack[k])
+        _, one_trace = forward(one, x)
+        _, ref_trace = unfolded_nn.forward(one, x)
+        assert_traces_equal(one_trace, ref_trace, ("unfolded",))
+        assert_traces_equal(trace.model(k), one_trace, ("stack", k))
+        grads = backward(one, one_trace, y)
+        assert np.array_equal(grads, backward(one, ref_trace, y)), "backward, unfolded"
+        assert np.array_equal(grads, backward(one, trace.model(k), y)), ("backward, stack", k)
+
+
 class TestKernelOracle:
     """The fused kernel against the per-step reference in `reference_nn`.
 
@@ -293,12 +319,31 @@ class TestKernelOracle:
         params = init_parameters(cell, d, h, rng)
         params.b += rng.normal(0.0, 0.5, params.b.shape)
         x = rng.normal(0.0, 1.0, (batch, window, d))
-        preds, trace = forward(params, x)
-        ref_preds, ref_trace = unfolded_nn.forward(params, x)
-        assert np.array_equal(preds, ref_preds)
-        for name in ("states", "gates", "cells", "tanh_c", "hh_n"):
-            got, ref = getattr(trace, name), getattr(ref_trace, name)
-            assert (got is None and ref is None) or np.array_equal(got, ref), name
+        assert_matches_unfolded(params, x, rng.normal(0.0, 1.0, (batch, 1)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cell=st.sampled_from(["lstm", "gru"]),
+        d=st.integers(1, 3),
+        h=st.integers(1, 8),
+        batch=st.integers(1, 4),
+        window=st.integers(1, 6),
+        lead=st.sampled_from([(), (1,), (2,), (5,), (2, 3), (3, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The fixed shapes above, each in a stack of two.
+    @example(cell="lstm", d=1, h=32, batch=32, window=18, lead=(2,), seed=23)
+    @example(cell="gru", d=3, h=32, batch=256, window=18, lead=(2,), seed=23)
+    @example(cell="gru", d=3, h=4, batch=2, window=5, lead=(2,), seed=23)
+    @example(cell="lstm", d=2, h=7, batch=3, window=1, lead=(2,), seed=23)
+    def test_every_trace_field_and_gradient_match_the_unfolded_kernel(
+        self, cell, d, h, batch, window, lead, seed
+    ):
+        rng = np.random.default_rng(seed)
+        params = init_parameters(cell, d, h, rng)
+        params.b += rng.normal(0.0, 0.5, params.b.shape)
+        x = rng.normal(0.0, 1.0, (batch, window, d))
+        assert_matches_unfolded(params, x, rng.normal(0.0, 1.0, (batch, 1)), lead, seed)
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_parameters_untouched(self, cell):
@@ -322,21 +367,23 @@ class TestStackedForward:
                 x = rng.normal(0.0, 1.0, (batch, 5, d))
                 preds, trace = forward(params.with_flat(stack), x)
                 assert preds.shape == (*lead, batch, 2)
-                assert trace.gates.shape == (5, *lead, batch, 4 * GATE_BLOCKS[cell])
                 assert trace.h_prev.shape == (5, *lead, batch, 4)
-                assert trace.gates.flags.c_contiguous  # each step's activations read whole rows
+                # Each step's activations read whole rows: all four LSTM gates
+                # in one buffer; the GRU's r and z in one, its candidate n in another.
+                widths = {"gates": 16} if cell == "lstm" else {"gates": 8, "cand": 4}
+                for name, width in widths.items():
+                    got = getattr(trace, name)
+                    assert got.shape == (5, *lead, batch, width) and got.flags.c_contiguous, name
                 for k in np.ndindex(lead):
-                    one, one_trace = forward(params.with_flat(stack[k]), x)
-                    assert np.array_equal(preds[k], one), (d, batch, k)
-                    for name in ("states", "gates"):
-                        got = getattr(trace, name)[(slice(None), *k)]
-                        assert np.array_equal(got, getattr(one_trace, name)), (d, batch, name, k)
+                    _, one_trace = forward(params.with_flat(stack[k]), x)
+                    assert_traces_equal(trace.model(k), one_trace, (d, batch, k))
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_one_model_allocates_its_gate_buffer_once(self, cell):
-        # A single model's GEMM result is already time-major: it is the gate
+        # A single LSTM's GEMM result is already time-major: it is the gate
         # buffer, not a copy. The peak alone would not show a copy, whose source
         # is freed before the state buffers exist, so the view is checked too.
+        # The GRU copies its r, z and n blocks out of that result once each.
         rng = np.random.default_rng(36)
         params = init_parameters(cell, 3, 32, rng)
         x = rng.normal(0.0, 1.0, (32, 18, 3))
@@ -347,13 +394,16 @@ class TestStackedForward:
         finally:
             tracemalloc.stop()
         owners = {}  # the trace's own buffers, each counted once (GRU's hh_n is a view of one)
-        for name in ("preds", "states", "gates", "cells", "tanh_c", "hh_n"):
+        for name in ("preds", "states", "gates", "cells", "tanh_c", "cand", "hh_n"):
             array = getattr(trace, name)
             if array is not None:
                 owner = array if array.base is None else array.base
                 owners[id(owner)] = owner.nbytes
         assert peak < 1.25 * sum(owners.values()), (peak, sum(owners.values()))
-        assert trace.gates.base is not None and trace.gates.base.nbytes == trace.gates.nbytes
+        if cell == "lstm":
+            assert trace.gates.base is not None and trace.gates.base.nbytes == trace.gates.nbytes
+        else:
+            assert trace.gates.base is None and trace.cand.base is None
 
     def test_views_follow_the_stack(self):
         params = init_parameters("gru", 2, 3, np.random.default_rng(0))
@@ -390,10 +440,11 @@ class TestGradCheck:
         x = rng.normal(0.0, 1.0, (batch, window, d))
         y = rng.normal(0.0, 1.0, (batch, 1))
         before = params.flat.copy()
-        got = numerical_gradients(params, x, y)
+        got, trace = numerical_gradients(params, x, y)
         assert np.array_equal(params.flat, before)
         ref = reference_numerical_gradients(params, x, y, gc.DEFAULT_STEP)
         assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
+        assert_traces_equal(trace, forward(params, x)[1])  # the stack's unperturbed last row
 
     def test_blocks_match_per_element_loop(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -407,8 +458,8 @@ class TestGradCheck:
             return forward(p, inputs)
 
         monkeypatch.setattr(gc, "forward", counted)
-        got = numerical_gradients(params, x, y)
-        assert len(calls) > 1 and sum(calls) == 2 * params.flat.size, calls
+        got, _ = numerical_gradients(params, x, y)
+        assert len(calls) > 1 and sum(calls) == 2 * params.flat.size + 1, calls
         ref = reference_numerical_gradients(params, x, y, gc.DEFAULT_STEP)
         assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
 

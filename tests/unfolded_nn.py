@@ -61,6 +61,7 @@ def forward(params, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
             np.tanh(n, out=n)
             np.multiply(z, states[t], out=states[t + 1])
             states[t + 1] += (1.0 - z) * n
-        extra = {"hh_n": hh[..., ns:]}
+        extra = {"cand": gates[..., ns:], "hh_n": hh[..., ns:]}
+        gates = gates[..., :ns]
     preds = states[m] @ params.w_out + params.b_out
     return preds, ForwardTrace(x, preds, states, gates, **extra)
