@@ -40,24 +40,34 @@ returns, whatever the road and rates:
 * vehicles: the helper draws the calls per vehicle, the calling thread the
   handover flags (only if h > 0). The entry offsets are not drawn here.
 * calls: the chunks below are split into two contiguous halves (the second
-  is empty when there is one chunk). For each chunk a thread draws its
+  is empty when there is at most one chunk). For each chunk a thread draws its
   vehicles' entry offsets, then the uniforms of their calls, and bins the
   calls into the slots from its first interval's on. The calling thread
   takes the first half, with the entry offsets from the start and the
   uniforms from where the Poisson draws stopped; the helper takes the
   second, from copies advanced by the vehicles and by the calls before its
-  first interval. Each half adds into its own per-slot counts, which are
-  summed.
+  first chunk, which may begin inside an interval. Each half adds into its
+  own per-slot counts, which are summed.
 
 Handover flags and Poisson draws run in blocks of whole intervals holding
-about `CHUNK_CALLS` vehicles, and the per-call stage in chunks holding about
-`CHUNK_CALLS` calls and vehicles together, so that neither the entry offsets
-nor the call positions of a chunk grow with the road at any rate:
-consecutive slices of one draw are that draw, so this bounds the work arrays
-without changing any value. What is held across the stages per vehicle is
-its call count, in the narrowest unsigned type that holds every draw: one
-byte when no vehicle's mean exceeds 64 calls (the paper's rates reach 12),
-else two.
+about `CHUNK_CALLS` vehicles. The per-call stage runs in chunks of
+consecutive vehicles holding about `CHUNK_CALLS` calls and vehicles
+together, cut at the first vehicle boundary at or past each multiple of
+`CHUNK_CALLS`, so a busy interval is split between chunks. A chunk holds at
+most one vehicle's calls (under 2^16) more than `CHUNK_CALLS`, whatever the
+rate, the cell or the road, and consecutive slices of one draw are that
+draw, so this bounds the work arrays without changing any value. A call's
+instant is its vehicle's offset, repeated onto the call, plus its
+interval's timestamp, plus its position times the dwell; one scratch array
+per chunk holds the positions, then the slot arithmetic. What grows with the
+road is what is held across the stages: per interval a few counts and, per
+vehicle, its call count in the narrowest unsigned type that holds every
+draw: one byte when no vehicle's mean exceeds 64 calls (the paper's rates
+reach 12), else two.
+
+The work grows with the calls drawn, so before any draw `check_call_budget`
+sums the closed-form mean `expected_calls` over the road and refuses, with
+one `ConfigError`, a scenario that expects more than `CALL_BUDGET` calls.
 
 A call at instant t is binned on the series' 300-s grid (every timestamp
 lies on the grid of the first, t0): its slot is k = floor((t - t0) / 300),
@@ -82,8 +92,9 @@ from .road import SLOT_SECONDS, RoadSeries
 
 DWELL_CAP_MIN = 60.0
 SPEED_FLOOR_MPH = 5.0
-CHUNK_CALLS = 1 << 16  # vehicles, or calls and vehicles, drawn per block of whole intervals
+CHUNK_CALLS = 1 << 15  # vehicles per block, or calls and vehicles per chunk, drawn at once
 MAX_LAM = 1000.0  # requests per minute per vehicle; the paper's rates are 0.2 and 0.6
+CALL_BUDGET = 2e9  # expected calls per simulation: about 25 s at the 8.5e7 calls/s of a 2-core host
 
 
 @dataclass(frozen=True)
@@ -143,16 +154,23 @@ def dwell_minutes(speed_mph: float | np.ndarray, cell_range_miles: float):
     return np.minimum(DWELL_CAP_MIN, cell_range_miles / floored * 60.0)
 
 
-def expected_calls(flow: float, speed: float, config: ScenarioConfig) -> float:
-    """Closed-form mean count for one interval: F * (h + lam * dwell).
+def expected_calls(flow, speed, config: ScenarioConfig):
+    """Closed-form mean count per interval: F * (h + lam * dwell), elementwise over arrays.
 
     Serves as the statistical oracle for `simulate_calls`; applies the same
     5 mph speed floor and 60 min dwell cap as the simulator.
     """
-    if flow == 0:
-        return 0.0
-    dwell = float(dwell_minutes(speed, config.cell_range_miles))
+    dwell = dwell_minutes(speed, config.cell_range_miles)
     return flow * (config.handover_prob + config.lam * dwell)
+
+
+def check_call_budget(series: RoadSeries, config: ScenarioConfig) -> None:
+    """Raise ConfigError if `config` expects more than CALL_BUDGET calls on `series`."""
+    expected = float(expected_calls(series.flows, series.speeds, config).sum())
+    if not expected <= CALL_BUDGET:
+        raise ConfigError(
+            f"the scenario expects {expected:.3g} calls on this road, past the budget of {CALL_BUDGET:.0e}"
+        )
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -182,15 +200,21 @@ class _SlotGrid:
         self.interval_slot = (timestamps - self.t0) // SLOT_SECONDS
         self.top = int(self.interval_slot[-1]) + 1
 
-    def slots(self, instants: np.ndarray) -> np.ndarray:
-        """The slot of each instant, capped at `top`; every instant must be >= t0."""
+    def slots(self, instants: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The slot of each instant, capped at `top`; every instant must be >= t0.
+
+        `work` is a float array as long as `instants`, which this overwrites.
+        """
         # Slot starts are exact integers and rounding is monotone, so the
         # quotient is never below the true slot; next to a slot start it can
         # be one above, which one exact comparison with that start undoes.
-        x = (instants - self.t0) / SLOT_SECONDS
+        x = np.subtract(instants, self.t0, out=work)
+        x /= SLOT_SECONDS
         np.minimum(x, self.top, out=x)
         k = x.astype(np.intp)
-        k -= instants < self.t0 + SLOT_SECONDS * k
+        np.multiply(k, SLOT_SECONDS, out=x)
+        x += self.t0  # each slot's start, exact: every one is an integer below 2^53
+        k -= instants < x
         return k
 
 
@@ -210,6 +234,33 @@ def _blocks(before: np.ndarray) -> list[tuple[int, int]]:
     cuts = np.searchsorted(before, np.arange(CHUNK_CALLS, before[-1], CHUNK_CALLS))
     edges = np.unique(np.concatenate(([0], cuts, [len(before) - 1]))).tolist()
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _chunks(first, calls_before, per_vehicle) -> tuple[np.ndarray, np.ndarray]:
+    """Chunks of consecutive vehicles holding about CHUNK_CALLS calls and vehicles each, in order.
+
+    Returns the vehicles and the calls before each cut, from 0 to the totals:
+    chunk k holds vehicles `v[k]:v[k + 1]` and their calls `c[k]:c[k + 1]`. A
+    cut falls at the first vehicle boundary at or past each multiple of
+    CHUNK_CALLS items, inside an interval or at its end, so a chunk holds at
+    most one vehicle's calls more than CHUNK_CALLS. Only the per-vehicle
+    counts of the intervals that hold a cut are summed.
+    """
+    before = first + calls_before  # items (vehicles and calls) before each interval
+    targets = np.arange(CHUNK_CALLS, before[-1], CHUNK_CALLS)
+    holding = np.searchsorted(before, targets, "right") - 1  # the interval of each target
+    intervals, where = np.unique(holding, return_index=True)
+    vehicle_cuts, call_cuts = [first[:1]], [calls_before[:1]]
+    for i, group in zip(intervals.tolist(), np.split(targets, where[1:])):
+        calls = _starts(per_vehicle[first[i] : first[i + 1]])  # before each of its vehicles
+        j = np.searchsorted(before[i] + np.arange(len(calls)) + calls, group)
+        vehicle_cuts.append(first[i] + j)
+        call_cuts.append(calls_before[i] + calls[j])
+    vehicle_cuts.append(first[-1:])
+    call_cuts.append(calls_before[-1:])
+    # Several targets inside one vehicle's calls, or at an interval's end and the next one's start, cut once.
+    vehicles, kept = np.unique(np.concatenate(vehicle_cuts), return_index=True)
+    return vehicles, np.concatenate(call_cuts)[kept]
 
 
 def _per_vehicle_calls(rng, means, vehicles, first, blocks, per_vehicle):
@@ -233,6 +284,7 @@ def _per_vehicle_calls(rng, means, vehicles, first, blocks, per_vehicle):
 
 def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     """Draw one realization of the call process over the whole road series."""
+    check_call_budget(series, config)
     rng = np.random.default_rng(config.seed)
     flows = series.flows
     speeds = series.speeds
@@ -279,32 +331,39 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
         calls_before = _starts(per_interval)
 
         grid = _SlotGrid(timestamps)
+        stamps = timestamps.astype(np.float64)
         dwell_s = dwell_min * 60.0
 
-        def bin_calls(entries, gen, chunks):
-            """Per grid slot, the calls of these chunks' vehicles, each uniform over its dwell.
+        def bin_calls(entries, gen, vehicle_cuts, call_cuts):
+            """Per grid slot, the calls of the chunks between these cuts, each uniform over its dwell.
 
             `entries` draws the chunks' entry offsets and `gen` their calls' positions.
             """
             hits = np.zeros(grid.top + 1, dtype=np.int64)
-            for a, b in chunks:
-                entry_abs = np.repeat(timestamps[a:b].astype(np.float64), vehicles[a:b])
-                entry_abs += entries.uniform(0.0, SLOT_SECONDS, len(entry_abs))
-                call_abs = np.repeat(entry_abs, per_vehicle[first[a] : first[b]])
-                dwell = np.repeat(dwell_s[a:b], per_interval[a:b])
-                call_abs += gen.uniform(0.0, 1.0, len(call_abs)) * dwell
-                # No call lies before its chunk's first slot.
-                lo = grid.interval_slot[a]
-                span = np.bincount(grid.slots(call_abs) - lo)
+            v, c = vehicle_cuts.tolist(), call_cuts.tolist()
+            # Chunk k's vehicles v[k]:v[k + 1] lie in the intervals a:b.
+            starts = (np.searchsorted(first, v[:-1], "right") - 1).tolist()
+            ends = np.searchsorted(first, v[1:]).tolist()
+            for k, (a, b) in enumerate(zip(starts, ends)):
+                calls = np.diff(np.clip(calls_before[a : b + 1], c[k], c[k + 1]))  # the chunk's, per interval
+                offsets = entries.uniform(0.0, SLOT_SECONDS, v[k + 1] - v[k])
+                instants = np.repeat(offsets, per_vehicle[v[k] : v[k + 1]])
+                instants += np.repeat(stamps[a:b], calls)  # each call's vehicle's entry instant
+                work = gen.uniform(0.0, 1.0, len(instants))
+                work *= np.repeat(dwell_s[a:b], calls)
+                instants += work
+                lo = grid.interval_slot[a]  # no call lies before its chunk's first slot
+                slots = grid.slots(instants, work)
+                slots -= lo
+                span = np.bincount(slots)
                 hits[lo : lo + len(span)] += span
             return hits
 
-        chunks = _blocks(first + calls_before)
-        half = (len(chunks) + 1) // 2  # the late half is empty when there is one chunk
-        cut = chunks[half - 1][1]  # the late half's first interval
-        late = _jumped(rng, int(first[cut])), _jumped(after, int(calls_before[cut]))
-        late_hits = helper.submit(bin_calls, *late, chunks[half:])
-        hits = bin_calls(rng, after, chunks[:half])
+        vehicle_cuts, call_cuts = _chunks(first, calls_before, per_vehicle)
+        half = len(vehicle_cuts) // 2  # the late half's first cut; it is empty with one chunk or none
+        late = _jumped(rng, int(vehicle_cuts[half])), _jumped(after, int(call_cuts[half]))
+        late_hits = helper.submit(bin_calls, *late, vehicle_cuts[half:], call_cuts[half:])
+        hits = bin_calls(rng, after, vehicle_cuts[: half + 1], call_cuts[: half + 1])
         hits += late_hits.result()
     counts += hits[grid.interval_slot]
     return CallSeries(counts, total_vehicles, zero_speed)

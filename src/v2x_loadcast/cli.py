@@ -4,7 +4,8 @@ Subcommands: ingest, synth, simulate, run, grid, gradcheck, report. Every
 subcommand is deterministic given its seed inputs; `run`/`grid` write a
 deterministic metrics CSV plus one JSON report per run. Failures print one
 machine-readable `error: <Kind>: <message>` line (see `errors.describe`) and
-exit 2 for a ConfigError, 1 for any other.
+exit 2 for a ConfigError, 1 for any other; an interrupt (Ctrl-C) prints
+`error: KeyboardInterrupt: ` and exits 130.
 """
 
 from __future__ import annotations
@@ -292,8 +293,10 @@ def dispatch(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (LoadcastError, OSError, MemoryError) as exc:
+    except (LoadcastError, OSError, MemoryError, KeyboardInterrupt) as exc:
         print(f"error: {describe(exc)}", file=sys.stderr)
+        if isinstance(exc, KeyboardInterrupt):
+            return 130  # 128 + SIGINT, what a shell reports for an interrupted command
         return 2 if isinstance(exc, ConfigError) else 1
 
 

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .calls import ScenarioConfig, simulate_calls
+from .calls import ScenarioConfig, check_call_budget, simulate_calls
 from .errors import ConfigError, LoadcastError, WorkerDied, describe
 from .features import (
     FEATURE_NAMES,
@@ -224,8 +224,8 @@ _worker_road: RoadSeries | None = None  # the grid's road, in a forked worker
 
 
 def _init_worker(set_blas_threads, road: RoadSeries, parent: int) -> None:
-    """Tie the worker's life to its parent's, pin OpenBLAS to one thread and
-    keep the road; `fork` hands the setter and the road over unpickled.
+    """Tie the worker's life to its parent's, leave SIGINT to the parent, pin OpenBLAS to
+    one thread and keep the road; `fork` hands the setter and the road over unpickled.
 
     Where the C library has Linux's prctl, the kernel sends the worker SIGKILL
     once the thread that forked it exits: the pool forks every worker from
@@ -244,6 +244,8 @@ def _init_worker(set_blas_threads, road: RoadSeries, parent: int) -> None:
         prctl(PR_SET_PDEATHSIG, signal.SIGKILL)  # -1 only for an invalid signal
     if os.getppid() != parent:
         os._exit(1)
+    # Ctrl-C reaches the whole process group; the parent alone answers it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     set_blas_threads(1)
     _worker_road = road
 
@@ -266,10 +268,16 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
     worker count. A row that runs out of memory fails with `MemoryError`. A
     worker that dies (killed by a signal, say) breaks the pool: every row
     not finished by then, its own and those running beside it, comes back
-    failed with `WorkerDied`, and the finished rows keep their reports.
+    failed with `WorkerDied`, and the finished rows keep their reports. A
+    scenario that `check_call_budget` refuses fails the grid with
+    `ConfigError` before any row starts. A `KeyboardInterrupt` (Ctrl-C, which
+    the workers ignore) cancels the rows not started and terminates the
+    workers before it propagates.
     """
     if not specs:
         raise ConfigError("empty scenario grid")
+    for spec in specs:
+        check_call_budget(road, spec.scenario)
     workers = min(len(specs), _worker_cap())
     # Imported here: at module import they would add ~15 ms to every CLI start.
     import multiprocessing
@@ -279,19 +287,27 @@ def run_scenario_grid(specs: Sequence[ExperimentSpec], road: RoadSeries) -> list
     if set_blas_threads is None or "fork" not in multiprocessing.get_all_start_methods():
         return [_grid_row(s, road) for s in specs]
     set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
+    forked_before = set(multiprocessing.active_children())
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
         initargs=(set_blas_threads, road, os.getpid()),
     ) as pool:
-        futures = [pool.submit(_worker_row, spec) for spec in specs]
         rows = []
-        for spec, future in zip(specs, futures):
-            try:
-                rows.append(future.result())
-            except BrokenProcessPool as exc:
-                rows.append(GridRow(spec, error=describe(WorkerDied(str(exc)))))
+        try:
+            futures = [pool.submit(_worker_row, spec) for spec in specs]
+            for spec, future in zip(specs, futures):
+                try:
+                    rows.append(future.result())
+                except BrokenProcessPool as exc:
+                    rows.append(GridRow(spec, error=describe(WorkerDied(str(exc)))))
+        except KeyboardInterrupt:
+            # Drop the rows not started and stop the running ones: leaving the pool waits for neither.
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in set(multiprocessing.active_children()) - forked_before:
+                worker.terminate()
+            raise
         return rows
 
 

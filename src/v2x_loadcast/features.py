@@ -44,11 +44,6 @@ def discretize_speeds(speeds: np.ndarray) -> np.ndarray:
     return np.where(speeds < _LO, 1, np.where(speeds >= _HI, 8, inner)).astype(np.int64)
 
 
-def discretize_speed(speed: float) -> int:
-    """Scalar `discretize_speeds`."""
-    return int(discretize_speeds(speed))
-
-
 def build_feature_matrix(road: RoadSeries, calls: CallSeries) -> np.ndarray:
     """Raw (n, 3) matrix of flow, speed level (1..8), call count."""
     if len(calls) != len(road):
@@ -72,9 +67,6 @@ class NormStats:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def inverse_transform(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self.std + self.mean
 
     def checksum(self) -> str:
         digest = hashlib.sha256()

@@ -246,26 +246,36 @@ def gapped_series(seed: int, days: int, start: int, gaps: list[int]) -> RoadSeri
     return RoadSeries(start + SLOT_SECONDS * slots, flows, speeds)
 
 
+def record_chunks(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The vehicle and call cuts of every `_chunks` call from now on."""
+    cut = calls_module._chunks
+    seen = []
+
+    def recorded(*args):
+        seen.append(cut(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(calls_module, "_chunks", recorded)
+    return seen
+
+
 def simulate_in_chunks(series, config, parts, monkeypatch):
     """`simulate_calls` with `CHUNK_CALLS` set to cut its calls and vehicles into about `parts` chunks.
 
-    Returns the result, the calls and vehicles before each interval, and the
-    chunks cut.
+    Returns the result and the vehicles and the calls before each cut.
     """
-    cut = calls_module._blocks
-    seen = []  # (items before each interval, blocks) per call of `_blocks`
-
-    def recorded(before):
-        seen.append((before, cut(before)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(calls_module, "_blocks", recorded)
+    seen = record_chunks(monkeypatch)
     simulate_calls(series, config)
-    total_items = int(seen[-1][0][-1])  # the last call of `_blocks` cuts calls and vehicles
+    vehicles, calls = seen[-1]
+    total_items = int(vehicles[-1] + calls[-1])
     monkeypatch.setattr(calls_module, "CHUNK_CALLS", -(-total_items // parts))
     got = simulate_calls(series, config)
-    assert seen[-1][0][-1] == total_items
     return (got, *seen[-1])
+
+
+def chunk_items(vehicle_cuts, call_cuts) -> np.ndarray:
+    """The calls and vehicles of each chunk between these cuts."""
+    return np.diff(vehicle_cuts) + np.diff(call_cuts)
 
 
 class TestAgainstReference:
@@ -313,8 +323,8 @@ class TestAgainstReference:
         # chunk leaves the second half empty, an odd number makes them unequal.
         series = gapped_series(4, 2, 300, [3])
         cfg = ScenarioConfig(0.4, 0.3, 1.5, seed=9)
-        got, _, chunks = simulate_in_chunks(series, cfg, parts, monkeypatch)
-        assert len(chunks) == parts
+        got, vehicle_cuts, _ = simulate_in_chunks(series, cfg, parts, monkeypatch)
+        assert len(vehicle_cuts) == parts + 1
         want = reference_simulate_calls(series, cfg)
         assert np.array_equal(got.counts, want.counts)
         assert got.vehicles_total == want.vehicles_total
@@ -328,11 +338,10 @@ class TestAgainstReference:
         speeds = np.where(np.arange(n) < n // 2, 90.0, 10.0)
         series = RoadSeries(SLOT_SECONDS * np.arange(n), np.full(n, 6), speeds)
         cfg = ScenarioConfig(0.4, 0.3, 0.5, seed=8, exact_flow=True)
-        got, items_before, chunks = simulate_in_chunks(series, cfg, 2, monkeypatch)
-        assert len(chunks) == 2
-        middle = chunks[1][0]
-        calls_before = items_before[middle] - 6 * middle
-        assert n // 2 < middle < n and 6 * middle > 1.5 * calls_before
+        got, vehicle_cuts, call_cuts = simulate_in_chunks(series, cfg, 2, monkeypatch)
+        assert len(vehicle_cuts) == 3
+        middle, calls_before = vehicle_cuts[1], call_cuts[1]
+        assert 6 * (n // 2) < middle < 6 * n and middle > 1.5 * calls_before
         want = reference_simulate_calls(series, cfg)
         assert np.array_equal(got.counts, want.counts)
 
@@ -346,12 +355,55 @@ class TestAgainstReference:
         cfg = ScenarioConfig(MAX_LAM, 0.5, 5.0, seed=6, exact_flow=True)
         assert dwell_minutes(3.0, 5.0) == 60.0
         stored = record_count_buffers(monkeypatch)
+        chunks = record_chunks(monkeypatch)
         got = simulate_calls(series, cfg)
         assert stored[0].dtype == np.uint16 and len(stored[0]) == 12
         assert stored[0].min() > 2**15
+        # Every vehicle holds more calls than a chunk, so each one is a chunk of its own.
+        vehicle_cuts, _ = chunks[0]
+        assert stored[0].min() > calls_module.CHUNK_CALLS
+        assert vehicle_cuts.tolist() == list(range(13))
         want = reference_simulate_calls(series, cfg)
         assert np.array_equal(got.counts, want.counts)
         assert got.counts.sum() > 12 * 2**15
+
+    def test_busy_interval_is_split_at_its_vehicles(self, monkeypatch):
+        # 600 slow vehicles in one interval at lam 5: a 60-min dwell and a mean
+        # of 300 calls each, about 180 000 calls, several chunks' worth, among
+        # quiet intervals of 3 vehicles and about 75 calls.
+        flows = np.full(POINTS_PER_DAY, 3)
+        speeds = np.full(POINTS_PER_DAY, 60.0)
+        flows[100], speeds[100] = 600, 5.0
+        series = RoadSeries(SLOT_SECONDS * np.arange(POINTS_PER_DAY), flows, speeds)
+        cfg = ScenarioConfig(5.0, 0.5, 5.0, seed=3, exact_flow=True)
+        stored = record_count_buffers(monkeypatch)
+        chunks = record_chunks(monkeypatch)
+        got = simulate_calls(series, cfg)
+        vehicle_cuts, call_cuts = chunks[0]
+        first = calls_module._starts(flows)
+        assert np.count_nonzero((vehicle_cuts > first[100]) & (vehicle_cuts < first[101])) >= 4
+        # A chunk ends at the first vehicle past its share, so it overshoots by at most one vehicle.
+        items = chunk_items(vehicle_cuts, call_cuts)
+        assert items.max() <= calls_module.CHUNK_CALLS + 1 + stored[0].max()
+        assert items.sum() == first[-1] + stored[0].sum(dtype=np.int64)  # every vehicle and call, once
+        want = reference_simulate_calls(series, cfg)
+        assert np.array_equal(got.counts, want.counts)
+
+    def test_late_half_starts_inside_an_interval(self, monkeypatch):
+        # Most calls in one interval mid-road: cut in two chunks, the helper's
+        # half begins among that interval's vehicles, so both of its
+        # generators start part way through one interval's draws.
+        n = POINTS_PER_DAY
+        flows = np.full(n, 2)
+        speeds = np.full(n, 60.0)
+        flows[150], speeds[150] = 300, 10.0
+        series = RoadSeries(SLOT_SECONDS * np.arange(n), flows, speeds)
+        cfg = ScenarioConfig(2.0, 0.3, 1.5, seed=5, exact_flow=True)
+        got, vehicle_cuts, _ = simulate_in_chunks(series, cfg, 2, monkeypatch)
+        first = calls_module._starts(flows)
+        assert len(vehicle_cuts) == 3 and first[150] < vehicle_cuts[1] < first[151]
+        want = reference_simulate_calls(series, cfg)
+        assert np.array_equal(got.counts, want.counts)
 
     def test_table_scenarios_fill_a_one_byte_buffer(self, monkeypatch):
         # Stopped traffic raises every dwell to its cap, so the paper's rates
@@ -389,7 +441,7 @@ class TestAgainstReference:
         t = np.concatenate([points, np.nextafter(points, -np.inf)[1:], np.nextafter(points, np.inf)])
         idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
         inside = (t >= ts[idx]) & (t < ts[idx] + SLOT_SECONDS)
-        k = grid.slots(t)
+        k = grid.slots(t, np.empty_like(t))
         assert k.min() >= 0 and k.max() == grid.top
         per_slot = np.bincount(k, minlength=grid.top + 1)
         assert np.array_equal(per_slot[grid.interval_slot], np.bincount(idx[inside], minlength=len(ts)))
@@ -506,3 +558,14 @@ class TestMemory:
         )
         assert vehicles60 - vehicles20 > 2 * 10**6
         assert (peak60 - peak20) / (vehicles60 - vehicles20) < 2.0
+
+    def test_peak_does_not_grow_with_the_call_rate(self):
+        # A 1000-mile cell caps every dwell at 60 min, so on a one-day road
+        # lam = 30 draws about 10^8 calls, 30 times as many as lam = 1. Chunks
+        # are cut inside the busiest intervals, so the work arrays stay the
+        # same size (when they held whole intervals, the peak was 70 MB higher).
+        series = synthesize_road_series(1, 7)
+        low, high = (
+            traced_peak(series, ScenarioConfig(lam, 0.5, 1000.0, seed=1))[0] for lam in (1.0, 30.0)
+        )
+        assert high - low < 4 * 2**20

@@ -922,6 +922,9 @@ class TestProcessFailures:
         # A synthesized road too short for the split fails before it is made.
         _row("run --days 2", 2, "ConfigError"),
         _row("run --days 5 --set window=300", 2, "ConfigError"),
+        # About 2e10 expected calls: refused before the first draw, not simulated for minutes.
+        _row("run --days 5 --set lambda_per_min=1000 --set cell_range_miles=1000", 2, "ConfigError",
+             timeout=10),
         _row("run --config latin1.cfg", 2, "ConfigError"),
         # 60 days train for far longer than 20 s, so the timeout fails the case
         # wherever the directory is made only after the rows have run.

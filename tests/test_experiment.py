@@ -356,6 +356,74 @@ class TestGrid:
                 if _running(pid):
                     os.kill(int(pid), signal.SIGKILL)
 
+    def test_interrupt_is_one_error_line_with_no_worker_left(self, tmp_path):
+        if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
+            pytest.skip("no OpenBLAS thread setter in this process, so rows run serially")
+        # Ctrl-C sends SIGINT to the whole foreground process group: here a
+        # `run` and its two workers, each training a row of a 20-day road.
+        env = dict(src_env(), OPENBLAS_NUM_THREADS="1", **{experiment.THREADS_ENV: "2"})
+        argv = ["run", "--days", "20", "--seeds", "1", "--out", str(tmp_path)]
+        parent = subprocess.Popen([sys.executable, "-m", "v2x_loadcast", *argv], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                                  start_new_session=True)
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.05)
+                workers = _child_pids(parent.pid)
+            assert len(workers) == 2, (workers, parent.poll())
+            time.sleep(0.5)  # into the rows, which train for several seconds more
+            os.killpg(parent.pid, signal.SIGINT)
+            _, err = parent.communicate(timeout=3)  # the rows are stopped, not waited for
+            assert parent.returncode == 130
+            assert err.splitlines() == ["error: KeyboardInterrupt: "]
+            deadline = time.monotonic() + 2
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            parent.kill()
+            parent.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(int(pid), signal.SIGKILL)
+
+    def test_workers_leave_sigint_to_their_parent(self):
+        if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
+            pytest.skip("no OpenBLAS thread setter in this process, so rows run serially")
+        # SIGINT sent to the workers alone: a worker that took it would fail
+        # its row with KeyboardInterrupt, which would end the grid.
+        script = textwrap.dedent("""
+            import time
+            from v2x_loadcast import experiment
+            from v2x_loadcast.road import synthesize_road_series
+            experiment.run_experiment = lambda spec, road: time.sleep(60)
+            specs = experiment.grid_specs(experiment.table_scenarios()[:2], seeds=[1])
+            experiment.run_scenario_grid(specs, synthesize_road_series(1, 1))
+        """)
+        env = dict(src_env(), **{experiment.THREADS_ENV: "2"})
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env, stderr=subprocess.PIPE)
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.05)
+                workers = _child_pids(parent.pid)
+            assert len(workers) == 2, (workers, parent.poll())
+            time.sleep(0.2)  # into the rows
+            for pid in workers:
+                os.kill(int(pid), signal.SIGINT)
+            time.sleep(1)
+            assert parent.poll() is None and all(map(_running, workers))
+        finally:
+            parent.kill()
+            _, err = parent.communicate()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(int(pid), signal.SIGKILL)
+        assert b"KeyboardInterrupt" not in err
+
     def test_rows_run_in_workers_with_one_blas_thread(self, road6, monkeypatch):
         if experiment.openblas_function(experiment.BLAS_SETTERS) is None:
             pytest.skip("no OpenBLAS thread setter in this process")
