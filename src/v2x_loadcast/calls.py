@@ -30,24 +30,13 @@ The generator is PCG64, and each `uniform` or `random` value is one 64-bit
 output. So after `poisson(flows)` every stream position is known except
 inside the Poisson draws, whose length varies: the V entry offsets start at
 0, the V handover flags at V, the Poisson draws at V (or 2V when h > 0) and
-the per-call uniforms where the Poisson draws stop. Each part draws from its
-own copy of the generator advanced (`advance`, which is exact) to where it
-begins, on its own thread, and the draws stay the same. The work always
-runs in two stages, each split between the calling thread and one helper
-thread from a one-worker pool that is joined before `simulate_calls`
-returns, whatever the road and rates:
-
-* vehicles: the helper draws the calls per vehicle, the calling thread the
-  handover flags (only if h > 0). The entry offsets are not drawn here.
-* calls: the chunks below are split into two contiguous halves (the second
-  is empty when there is at most one chunk). For each chunk a thread draws its
-  vehicles' entry offsets, then the uniforms of their calls, and bins the
-  calls into the slots from its first interval's on. The calling thread
-  takes the first half, with the entry offsets from the start and the
-  uniforms from where the Poisson draws stopped; the helper takes the
-  second, from copies advanced by the vehicles and by the calls before its
-  first chunk, which may begin inside an interval. Each half adds into its
-  own per-slot counts, which are summed.
+the per-call uniforms where the Poisson draws stop. The calls per vehicle
+come first, from a copy of the generator advanced (`advance`, which is
+exact) to where the Poisson draws begin, and the handover flags from a copy
+advanced by V. Then, chunk by chunk, the generator itself draws the
+vehicles' entry offsets and the copy goes on to draw the uniforms of their
+calls, which are binned into the slots from the chunk's first interval's
+on. The draws stay the same, and all of it runs on the calling thread.
 
 Handover flags and Poisson draws run in blocks of whole intervals holding
 about `CHUNK_CALLS` vehicles. The per-call stage runs in chunks of
@@ -87,14 +76,16 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, ResourceExhausted, ShapeMismatch
+from .errors import BoundsError, ConfigError, ShapeMismatch
 from .road import SLOT_SECONDS, RoadSeries
 
 DWELL_CAP_MIN = 60.0
 SPEED_FLOOR_MPH = 5.0
-CHUNK_CALLS = 1 << 15  # vehicles per block, or calls and vehicles per chunk, drawn at once
+# Vehicles per block, or calls and vehicles per chunk, drawn at once. One chunk
+# is live at a time, so 2^16 holds what two threads' live chunks of 2^15 held.
+CHUNK_CALLS = 1 << 16
 MAX_LAM = 1000.0  # requests per minute per vehicle; the paper's rates are 0.2 and 0.6
-CALL_BUDGET = 2e9  # expected calls per simulation: about 25 s at the 8.5e7 calls/s of a 2-core host
+CALL_BUDGET = 2e9  # expected calls per simulation: about 25 s at the 8e7 calls/s of one core of a 2-core host
 
 
 @dataclass(frozen=True)
@@ -300,70 +291,41 @@ def simulate_calls(series: RoadSeries, config: ScenarioConfig) -> CallSeries:
     vehicle_blocks = _blocks(first)
     handover = config.handover_prob > 0
 
-    # Imported here: at module import it would add ~10 ms, mostly logging, to every CLI start.
-    from concurrent.futures.thread import ThreadPoolExecutor
-
-    # The Poisson stage starts after the entry offsets and the handover flags.
+    # The Poisson draws start after the entry offsets and the handover flags.
     after = _jumped(rng, total_vehicles * (2 if handover else 1))
     means = config.lam * dwell_min
     # The narrowest unsigned type that holds every draw. A Poisson draw of mean
     # m reaches k > m with probability below exp(-m) (e m / k)^k (Chernoff):
     # under 1e-70 for 256 at m = 64, under 1e-100 for 2^16 at the largest
     # mean, MAX_LAM * DWELL_CAP_MIN = 60 000. `_per_vehicle_calls` checks anyway.
-    # Allocated here, not on the helper: in the helper thread's malloc arena a
-    # freed block of this size was often not reused by the next, slightly
-    # larger one, so repeated calls paged in a second copy of it.
     per_vehicle = np.empty(total_vehicles, dtype=np.uint8 if means.max() <= 64.0 else np.uint16)
-    # Leaving the block, at its end or by an error on either thread, joins the helper.
-    with ThreadPoolExecutor(1, thread_name_prefix="simulate_calls") as helper:
-        try:  # the first submit starts the helper thread
-            drawn = helper.submit(
-                _per_vehicle_calls, after, means, vehicles, first, vehicle_blocks, per_vehicle
-            )
-        except RuntimeError as exc:  # "can't start new thread": out of threads or memory
-            raise ResourceExhausted(f"cannot start the simulate_calls helper thread: {exc}") from exc
-        if handover:  # `rng` stays where the entry offsets begin; the flags follow them
-            flags = _jumped(rng, total_vehicles)
-            for a, b in vehicle_blocks:
-                handed = flags.random(first[b] - first[a]) < config.handover_prob
-                counts[a:b] += _interval_sums(handed, vehicles, first, a, b)
-        per_interval = drawn.result()
-        calls_before = _starts(per_interval)
+    calls_before = _starts(_per_vehicle_calls(after, means, vehicles, first, vehicle_blocks, per_vehicle))
+    if handover:  # `rng` stays where the entry offsets begin; the flags follow them
+        flags = _jumped(rng, total_vehicles)
+        for a, b in vehicle_blocks:
+            handed = flags.random(first[b] - first[a]) < config.handover_prob
+            counts[a:b] += _interval_sums(handed, vehicles, first, a, b)
 
-        grid = _SlotGrid(timestamps)
-        stamps = timestamps.astype(np.float64)
-        dwell_s = dwell_min * 60.0
-
-        def bin_calls(entries, gen, vehicle_cuts, call_cuts):
-            """Per grid slot, the calls of the chunks between these cuts, each uniform over its dwell.
-
-            `entries` draws the chunks' entry offsets and `gen` their calls' positions.
-            """
-            hits = np.zeros(grid.top + 1, dtype=np.int64)
-            v, c = vehicle_cuts.tolist(), call_cuts.tolist()
-            # Chunk k's vehicles v[k]:v[k + 1] lie in the intervals a:b.
-            starts = (np.searchsorted(first, v[:-1], "right") - 1).tolist()
-            ends = np.searchsorted(first, v[1:]).tolist()
-            for k, (a, b) in enumerate(zip(starts, ends)):
-                calls = np.diff(np.clip(calls_before[a : b + 1], c[k], c[k + 1]))  # the chunk's, per interval
-                offsets = entries.uniform(0.0, SLOT_SECONDS, v[k + 1] - v[k])
-                instants = np.repeat(offsets, per_vehicle[v[k] : v[k + 1]])
-                instants += np.repeat(stamps[a:b], calls)  # each call's vehicle's entry instant
-                work = gen.uniform(0.0, 1.0, len(instants))
-                work *= np.repeat(dwell_s[a:b], calls)
-                instants += work
-                lo = grid.interval_slot[a]  # no call lies before its chunk's first slot
-                slots = grid.slots(instants, work)
-                slots -= lo
-                span = np.bincount(slots)
-                hits[lo : lo + len(span)] += span
-            return hits
-
-        vehicle_cuts, call_cuts = _chunks(first, calls_before, per_vehicle)
-        half = len(vehicle_cuts) // 2  # the late half's first cut; it is empty with one chunk or none
-        late = _jumped(rng, int(vehicle_cuts[half])), _jumped(after, int(call_cuts[half]))
-        late_hits = helper.submit(bin_calls, *late, vehicle_cuts[half:], call_cuts[half:])
-        hits = bin_calls(rng, after, vehicle_cuts[: half + 1], call_cuts[: half + 1])
-        hits += late_hits.result()
+    grid = _SlotGrid(timestamps)
+    stamps = timestamps.astype(np.float64)
+    dwell_s = dwell_min * 60.0
+    hits = np.zeros(grid.top + 1, dtype=np.int64)
+    v, c = (cuts.tolist() for cuts in _chunks(first, calls_before, per_vehicle))
+    # Chunk k's vehicles v[k]:v[k + 1] lie in the intervals a:b.
+    starts = (np.searchsorted(first, v[:-1], "right") - 1).tolist()
+    ends = np.searchsorted(first, v[1:]).tolist()
+    for k, (a, b) in enumerate(zip(starts, ends)):
+        calls = np.diff(np.clip(calls_before[a : b + 1], c[k], c[k + 1]))  # the chunk's, per interval
+        offsets = rng.uniform(0.0, SLOT_SECONDS, v[k + 1] - v[k])
+        instants = np.repeat(offsets, per_vehicle[v[k] : v[k + 1]])
+        instants += np.repeat(stamps[a:b], calls)  # each call's vehicle's entry instant
+        work = after.uniform(0.0, 1.0, len(instants))
+        work *= np.repeat(dwell_s[a:b], calls)
+        instants += work
+        lo = grid.interval_slot[a]  # no call lies before its chunk's first slot
+        slots = grid.slots(instants, work)
+        slots -= lo
+        span = np.bincount(slots)
+        hits[lo : lo + len(span)] += span
     counts += hits[grid.interval_slot]
     return CallSeries(counts, total_vehicles, zero_speed)

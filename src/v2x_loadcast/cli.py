@@ -293,7 +293,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (LoadcastError, OSError, MemoryError, KeyboardInterrupt) as exc:
+    # numpy loads some of its extensions lazily, so under an address-space limit one may fail to map mid-command.
+    except (LoadcastError, OSError, MemoryError, ImportError, KeyboardInterrupt) as exc:
         print(f"error: {describe(exc)}", file=sys.stderr)
         if isinstance(exc, KeyboardInterrupt):
             return 130  # 128 + SIGINT, what a shell reports for an interrupted command

@@ -41,10 +41,6 @@ class WorkerDied(LoadcastError):
     """A grid worker process ended abruptly (killed by a signal, say), losing its row."""
 
 
-class ResourceExhausted(LoadcastError):
-    """The system would not give a run a resource it needs, such as a thread."""
-
-
 class DegenerateFeature(LoadcastError):
     """A feature column has zero variance on the training split."""
 

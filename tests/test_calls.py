@@ -19,7 +19,7 @@ from v2x_loadcast.calls import (
     expected_calls,
     simulate_calls,
 )
-from v2x_loadcast.errors import BoundsError, ConfigError, ResourceExhausted
+from v2x_loadcast.errors import BoundsError, ConfigError
 from v2x_loadcast.experiment import table_scenarios
 from v2x_loadcast.road import (
     POINTS_PER_DAY,
@@ -319,8 +319,8 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("parts", [1, 3, 5])
     def test_one_chunk_or_an_odd_number(self, parts, monkeypatch):
-        # The per-call chunks are split into two halves, one per thread: one
-        # chunk leaves the second half empty, an odd number makes them unequal.
+        # One chunk takes every draw at once; an odd number of chunks cuts
+        # the road at points that no even split shares.
         series = gapped_series(4, 2, 300, [3])
         cfg = ScenarioConfig(0.4, 0.3, 1.5, seed=9)
         got, vehicle_cuts, _ = simulate_in_chunks(series, cfg, parts, monkeypatch)
@@ -331,7 +331,7 @@ class TestAgainstReference:
 
     def test_second_half_entry_offsets_start_mid_series(self, monkeypatch):
         # Fast vehicles with few calls, then slow ones with many: cut in two
-        # chunks, the second half starts mid-series with about twice as many
+        # chunks, the second starts mid-series with about twice as many
         # vehicles before it as calls, so its entry offsets and its call
         # positions start at different points of the stream.
         n = POINTS_PER_DAY
@@ -347,7 +347,9 @@ class TestAgainstReference:
 
     def test_largest_per_vehicle_mean(self, monkeypatch):
         # MAX_LAM over a dwell capped at 60 min at the 5 mph floor: a Poisson
-        # mean of 60 000 calls per vehicle, past the int16 range.
+        # mean of 60 000 calls per vehicle, past the int16 range. Chunks of
+        # 2^15 items, so that every vehicle is larger than a chunk.
+        monkeypatch.setattr(calls_module, "CHUNK_CALLS", 1 << 15)
         flows = np.zeros(POINTS_PER_DAY, dtype=np.int64)
         flows[::48] = 2
         series = RoadSeries(SLOT_SECONDS * np.arange(POINTS_PER_DAY), flows,
@@ -370,7 +372,9 @@ class TestAgainstReference:
     def test_busy_interval_is_split_at_its_vehicles(self, monkeypatch):
         # 600 slow vehicles in one interval at lam 5: a 60-min dwell and a mean
         # of 300 calls each, about 180 000 calls, several chunks' worth, among
-        # quiet intervals of 3 vehicles and about 75 calls.
+        # quiet intervals of 3 vehicles and about 75 calls. Chunks of 2^15
+        # items, so that the busy interval holds at least 4 cuts.
+        monkeypatch.setattr(calls_module, "CHUNK_CALLS", 1 << 15)
         flows = np.full(POINTS_PER_DAY, 3)
         speeds = np.full(POINTS_PER_DAY, 60.0)
         flows[100], speeds[100] = 600, 5.0
@@ -390,9 +394,9 @@ class TestAgainstReference:
         assert np.array_equal(got.counts, want.counts)
 
     def test_late_half_starts_inside_an_interval(self, monkeypatch):
-        # Most calls in one interval mid-road: cut in two chunks, the helper's
-        # half begins among that interval's vehicles, so both of its
-        # generators start part way through one interval's draws.
+        # Most calls in one interval mid-road: cut in two chunks, the second
+        # begins among that interval's vehicles, so its entry offsets and its
+        # call positions start part way through one interval's draws.
         n = POINTS_PER_DAY
         flows = np.full(n, 2)
         speeds = np.full(n, 60.0)
@@ -430,6 +434,15 @@ class TestAgainstReference:
                 np.random.default_rng(1), np.full(3, 1000.0), vehicles, first, [(0, 3)], buffer
             )
 
+    def test_repeated_call_identical_over_many_chunks(self):
+        # Enough vehicles and calls for several blocks and chunks.
+        series = synthesize_road_series(10, 8)
+        cfg = replace(table_scenarios()[5], seed=12)
+        a, b = simulate_calls(series, cfg), simulate_calls(series, cfg)
+        assert a.counts.sum() > 8 * calls_module.CHUNK_CALLS
+        assert np.array_equal(a.counts, b.counts)
+        assert a.vehicles_total == b.vehicles_total
+
     @pytest.mark.parametrize("start", [0, 1_616_976_000])
     def test_slot_lookup_at_grid_points(self, start):
         # Instants on and one ulp either side of every slot start from t0 to 30
@@ -449,81 +462,15 @@ class TestAgainstReference:
 
 
 class TestThreads:
-    """`simulate_calls` draws on a helper thread that never outlives the call."""
+    """`simulate_calls` runs on the calling thread alone."""
 
-    def test_helper_that_cannot_start_is_resource_exhausted(self, monkeypatch):
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        before = threading.active_count()
-        cfg = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5, seed=3)
-        with pytest.raises(ResourceExhausted, match="can't start new thread") as caught:
-            simulate_calls(steady_series(1, 40, 60.0), cfg)
-        assert isinstance(caught.value.__cause__, RuntimeError)
-        assert threading.active_count() == before
-
-    def test_no_thread_outlives_the_call(self):
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", no_thread)  # none may start
         series = synthesize_road_series(2, 4)
         before = threading.active_count()
         for scenario in table_scenarios():
             simulate_calls(series, scenario)
             assert threading.active_count() == before
-
-    def test_one_helper_thread_per_call(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def counted(thread):
-            started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
-        series = synthesize_road_series(2, 4)
-        simulate_calls(series, table_scenarios()[5])
-        assert len(started) == 1 and started[0].startswith("simulate_calls")
-        # With no calls to draw the call stage still runs, on its own helper thread.
-        simulate_calls(series, ScenarioConfig(lam=0.0, handover_prob=0.5, cell_range_miles=1.5))
-        assert len(started) == 2 and started[1].startswith("simulate_calls")
-
-    @pytest.mark.parametrize(
-        "owner, name, on_helper",
-        [
-            (calls_module, "_per_vehicle_calls", True),
-            (_SlotGrid, "slots", True),
-            (_SlotGrid, "slots", False),
-            (calls_module, "_interval_sums", False),
-        ],
-        ids=["vehicle-stage-helper", "call-stage-helper", "call-stage-caller", "handovers-caller"],
-    )
-    def test_helper_error_reaches_the_caller_with_the_thread_joined(
-        self, monkeypatch, owner, name, on_helper
-    ):
-        # Raised on one thread only. The helper draws the calls per vehicle and
-        # bins the late half of the chunks; the calling thread draws the
-        # handover flags and bins the early half.
-        caller = threading.current_thread()
-        real = getattr(owner, name)
-        where = "helper" if on_helper else "calling"
-
-        def fail(*args):
-            if (threading.current_thread() is not caller) == on_helper:
-                raise ZeroDivisionError(f"raised on the {where} thread")
-            return real(*args)
-
-        monkeypatch.setattr(owner, name, fail)
-        monkeypatch.setattr(calls_module, "CHUNK_CALLS", 1024)  # both halves non-empty
-        before = threading.active_count()
-        cfg = ScenarioConfig(lam=0.2, handover_prob=0.5, cell_range_miles=1.5, seed=3)
-        with pytest.raises(ZeroDivisionError, match=f"{where} thread"):
-            simulate_calls(steady_series(1, 40, 60.0), cfg)
-        assert threading.active_count() == before
-
-    def test_repeated_call_identical_over_many_chunks(self):
-        # Enough vehicles and calls for several blocks and chunks on each thread.
-        series = synthesize_road_series(10, 8)
-        cfg = replace(table_scenarios()[5], seed=12)
-        a, b = simulate_calls(series, cfg), simulate_calls(series, cfg)
-        assert a.counts.sum() > 8 * calls_module.CHUNK_CALLS
-        assert np.array_equal(a.counts, b.counts)
-        assert a.vehicles_total == b.vehicles_total
 
 
 def traced_peak(series, config) -> tuple[int, int]:

@@ -460,6 +460,10 @@ def _no_memory(*args):
     np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: numpy raises its own MemoryError subclass
 
 
+def _no_numpy_random(*args):
+    raise ImportError("_generator.so: failed to map segment from shared object")
+
+
 class _CliImportFails:
     """An import finder under which importing `v2x_loadcast.cli` raises `error`."""
 
@@ -670,16 +674,27 @@ class TestDispatch:
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith("error: MemoryError: Unable to allocate"), err
 
-    def test_simulate_without_a_helper_thread_is_one_error_line(self, one_day_csv, tmp_path,
-                                                                 monkeypatch, capsys):
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
+    def test_import_error_mid_command_is_one_error_line(self, one_day_csv, tmp_path, monkeypatch,
+                                                         capsys):
+        # numpy loads `numpy.random` lazily; under an address-space limit its
+        # extension can first fail to map inside `simulate_calls`.
+        monkeypatch.setattr(cli, "simulate_calls", _no_numpy_random)
         code = dispatch(["simulate", "--road", str(one_day_csv), "--lambda", "0.2", "--h", "0.5",
                          "--range", "1.5", "--out", str(tmp_path / "c.csv")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: ResourceExhausted: cannot start the simulate_calls helper thread: "
-            "can't start new thread"
+            "error: ImportError: _generator.so: failed to map segment from shared object"
         ]
+
+    def test_simulate_without_threads_writes_the_same_counts(self, one_day_csv, tmp_path, monkeypatch,
+                                                             capsys):
+        argv = ["simulate", "--road", str(one_day_csv), "--lambda", "0.6", "--h", "0.5",
+                "--range", "6", "--seed", "3", "--out"]
+        assert dispatch([*argv, str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert dispatch([*argv, str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_memory_error_importing_the_cli_is_one_error_line(self, monkeypatch, capsys):
         # `python -m v2x_loadcast` under an address-space limit that the numpy
@@ -891,6 +906,7 @@ class TestProcessFailures:
         """The directory the cases run in, holding the files their arguments name."""
         root = tmp_path_factory.mktemp("process")
         assert dispatch(["synth", "--days", "2", "--seed", "7", "--out", str(root / "r.csv")]) == 0
+        assert dispatch(["synth", "--days", "1", "--seed", "7", "--out", str(root / "r1.csv")]) == 0
         shutil.copy(bad_paths["<huge_flow>"], root / "huge.csv")
         shutil.copy(bad_paths["<huge_field>"], root / "field.csv")
         (root / "latin1.cfg").write_bytes(b"days = 2\n\xff\n")
@@ -937,6 +953,10 @@ class TestProcessFailures:
         # call counts (a 10-day road's 27 MiB would fit).
         _row("simulate --road flowmax.csv --lambda 0.2 --h 0.5 --range 1.5 --out c.csv", 1, "MemoryError",
              address_space_kb=180_000),
+        # About 10^8 calls in chunks cut inside the busiest intervals: it runs
+        # well inside 200 000 KB, where whole-interval chunks took about 130 MB more.
+        _row("simulate --road r1.csv --lambda 30 --h 0.5 --range 1000 --out c.csv", 0,
+             address_space_kb=200_000),
         _row("report --runs disagree --out disagree.csv", 1, "MalformedReport"),
         # All three seeds diverge: the first row's error line, then a warning per row.
         _row("run --days 10 --set learning_rate=1e100 --set max_epochs=3 "

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -266,18 +265,6 @@ class TestGrid:
         [row] = run_scenario_grid([small_spec()], road6)
         assert row.report is None and row.error == "DegenerateFeature: first line second line"
 
-    @pytest.mark.parametrize("workers", ROW_PATHS)
-    def test_row_without_a_helper_thread_recorded_grid_continues(self, road6, monkeypatch, workers):
-        monkeypatch.setattr(experiment, "run_experiment", _seed_or_simulate_on_seed_2)
-        monkeypatch.setattr(threading.Thread, "start", _start_unless_simulate_calls)
-        specs = grid_specs(table_scenarios()[:1], seeds=[1, 2, 3], modes=("net",))
-        use_row_path(monkeypatch, workers)
-        rows = run_scenario_grid(specs, road6)
-        assert [row.report for row in rows] == [1, None, 3]
-        assert rows[1].error == (
-            "ResourceExhausted: cannot start the simulate_calls helper thread: can't start new thread"
-        )
-
     def test_no_process_outlives_the_grid(self, road6, monkeypatch):
         specs = grid_specs(table_scenarios()[:2], seeds=[1], training=TINY)
         monkeypatch.setenv(experiment.THREADS_ENV, "2")
@@ -518,22 +505,6 @@ def _seed_or_no_memory_on_seed_2(spec, road):
 
 def _two_line_error(spec, road):
     raise DegenerateFeature("first line\nsecond line")
-
-
-def _seed_or_simulate_on_seed_2(spec, road):
-    if spec.seed == 2:
-        simulate_calls(road, spec.scenario)
-    return spec.seed
-
-
-_start_thread = threading.Thread.start
-
-
-def _start_unless_simulate_calls(thread):
-    """`Thread.start`, except that a `simulate_calls` helper cannot start."""
-    if thread.name.startswith("simulate_calls"):
-        raise RuntimeError("can't start new thread")
-    _start_thread(thread)
 
 
 def _worker_pid_and_blas_threads(spec, road):
