@@ -299,7 +299,3 @@ def dispatch(argv: list[str] | None = None) -> int:
         if isinstance(exc, KeyboardInterrupt):
             return 130  # 128 + SIGINT, what a shell reports for an interrupted command
         return 2 if isinstance(exc, ConfigError) else 1
-
-
-def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))

@@ -86,6 +86,8 @@ class AppConfig:
                 self.feature_mode in ("both", *FEATURE_MODES),
                 f"feature_mode must be {', '.join(FEATURE_MODES)} or both",
             ),
+            # Also where `road_csv` leaves it unused, so that no config holds a seed synthesis refuses.
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (len(self.seeds) >= 1, "seeds must name at least one seed"),
             # A repeated seed would repeat a metrics row and overwrite its report.
             (len(set(self.seeds)) == len(self.seeds), f"seeds must be distinct, got {self.seeds}"),

@@ -2,15 +2,26 @@
 
 Every error raised on purpose derives from LoadcastError so callers (and the
 CLI) can distinguish domain failures from bugs. `describe` is the one place
-that turns an exception into the `Kind: message` text of an error line.
+that turns an exception into the `Kind: message` text of an error line, for
+`cli.dispatch` and for the import guard in `__main__` alike; this module
+imports nothing, so the guard can load it before numpy.
 """
 
 
 def describe(exc: BaseException) -> str:
-    """`Kind: message` on one line: the public class name, each line break a space."""
-    # numpy raises a private MemoryError subclass; name the public one.
-    kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-    return f"{kind}: {' '.join(str(exc).splitlines())}"
+    """`Kind: message` on one line: the public class name, each line break a space.
+
+    An `ImportError` (a `ModuleNotFoundError` too) is named `ImportError` and
+    says what the last error of its `__cause__` chain says: numpy wraps a failed
+    C-extension load in a page of advice. A `MemoryError` with no text, as
+    Python raises when an allocation of its own fails, says `out of memory`.
+    """
+    # The public class, not a subclass such as numpy's private MemoryError.
+    kind = next((k.__name__ for k in (ImportError, MemoryError) if isinstance(exc, k)), type(exc).__name__)
+    while kind == "ImportError" and exc.__cause__ is not None:
+        exc = exc.__cause__
+    text = str(exc) or ("out of memory" if kind == "MemoryError" else "")
+    return f"{kind}: {' '.join(text.splitlines())}"
 
 
 class LoadcastError(Exception):

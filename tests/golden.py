@@ -7,7 +7,8 @@ Regenerate the file from the current code with
 and say in CHANGES.md why any value moved. `test_golden.py` compares
 against the file. The integer sections must match anywhere. The floats of
 the trend runs depend on the numpy build, its BLAS and the CPU's SIMD
-paths, so they are compared only where those match the recorded ones.
+paths, so they are compared only where those match the recorded ones, and
+so is the sha256 of the `metrics.csv` that the default run writes from them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from v2x_loadcast.calls import ScenarioConfig, simulate_calls
-from v2x_loadcast.experiment import ExperimentSpec, derive_scenario, run_scenario_grid, table_scenarios
+from v2x_loadcast.cli import _write_outputs
+from v2x_loadcast.config import AppConfig
+from v2x_loadcast.experiment import (ExperimentSpec, GridRow, derive_scenario, run_scenario_grid,
+                                     table_scenarios)
 from v2x_loadcast.rng import derive_int
 from v2x_loadcast.road import RoadSeries, synthesize_road_series
 
@@ -67,6 +71,19 @@ def trend_floats(reports: dict) -> dict:
         }
         for key, report in reports.items()
     }
+
+
+def run_metrics_sha256(reports: dict) -> str:
+    """sha256 of the `metrics.csv` of the default `run --days 20`, whose six runs are the `base` trend runs."""
+    config = AppConfig(days=20)
+    specs = config.specs(table=False)
+    assert config.seed == ROOT_SEED and all(
+        spec == ExperimentSpec(TREND_SCENARIOS["base"], spec.feature_mode, seed=spec.seed) for spec in specs
+    ), "the default run is no longer the base trend runs"
+    with tempfile.TemporaryDirectory() as out_dir:
+        _write_outputs([GridRow(spec, reports["base", spec.feature_mode, spec.seed]) for spec in specs],
+                       Path(out_dir))
+        return hashlib.sha256((Path(out_dir) / "metrics.csv").read_bytes()).hexdigest()
 
 
 def table_counts(road: RoadSeries) -> dict:
@@ -113,11 +130,13 @@ def environment() -> dict:
 
 def main() -> None:
     road = road20()
+    reports = trend_reports(road)
     golden = {
         "environment": environment(),
         "table_counts": table_counts(road),
         "datapath": datapath_signature(),
-        "trend": trend_floats(trend_reports(road)),
+        "trend": trend_floats(reports),
+        "run_metrics_csv": run_metrics_sha256(reports),
     }
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -228,6 +228,14 @@ class TestBadValues:
         assert code == 2 and len(err) == 1 and err[0].startswith("error: ConfigError:"), err
         assert key_value[:3] in err[0]  # names the key, or the field it feeds
 
+    def test_negative_root_seed_with_a_road_csv_fails_before_any_file(self, one_day_csv, tmp_path):
+        # The road is read, not synthesized, so no seed stream would ever check the root seed.
+        config = write_config(tmp_path, f"road_csv = {one_day_csv}")
+        dumped = tmp_path / "resolved.cfg"
+        code, err = run_set("seed=-1", "--config", str(config), "--dump-config", str(dumped))
+        assert (code, err) == (2, ["error: ConfigError: seed must be >= 0, got -1"])
+        assert not dumped.exists()
+
     @pytest.mark.parametrize("value", ["300", "0"])
     def test_interval_length_key_is_unknown(self, value, tmp_path):
         # The interval length is the road's 5-minute slot; no key sets it.
@@ -598,22 +606,16 @@ class TestDispatch:
         [path] = [arg for arg in argv if "\n" in arg]
         assert line.startswith(f"error: {kind}: ") and path.replace("\n", " ") in line, line
 
-    @pytest.mark.parametrize("target, guarded", [
-        pytest.param(_console_script_target(), True, id="console-script"),
-        pytest.param("v2x_loadcast.cli:main", False, id="cli-main"),
-    ])
-    def test_console_script_without_numpy(self, target, guarded):
-        # What an installed script calling `target` does where numpy cannot be imported.
+    @pytest.mark.parametrize("target", [pytest.param(_console_script_target(), id="console-script")])
+    def test_console_script_without_numpy(self, target):
+        # What the installed script does where numpy cannot be imported.
         module, func = target.split(":")
         script = f"import sys; sys.modules['numpy'] = None; from {module} import {func}; {func}()"
         run = subprocess.run([sys.executable, "-c", script], env=src_env(),
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 1 and run.stdout == ""
-        if guarded:
-            [line] = run.stderr.splitlines()
-            assert line.startswith("error: ImportError: ") and "numpy" in line, line
-        else:  # the CLI module has no import guard of its own
-            assert run.stderr.startswith("Traceback"), run.stderr
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ImportError: ") and "numpy" in line, line
 
     def test_config_with_a_byte_order_mark_reads_its_keys(self, tmp_path, monkeypatch):
         path = tmp_path / "bom.cfg"
@@ -719,6 +721,25 @@ class TestDispatch:
         assert capsys.readouterr().err.splitlines() == [
             "error: ImportError: libgfortran.so.5: failed to map segment from shared object"
         ]
+
+    @pytest.mark.parametrize("error, code, line", [
+        pytest.param("KeyboardInterrupt()", 130, "error: KeyboardInterrupt: ", id="interrupt"),
+        pytest.param("MemoryError()", 1, "error: MemoryError: out of memory", id="MemoryError-with-no-text"),
+    ])
+    def test_failure_importing_the_cli_is_one_error_line(self, error, code, line):
+        # In a fresh process: a KeyboardInterrupt that reached pytest would end its session.
+        script = textwrap.dedent(f"""
+            import runpy, sys
+            class CliImportFails:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "v2x_loadcast.cli":
+                        raise {error}
+            sys.meta_path.insert(0, CliImportFails())
+            runpy.run_module("v2x_loadcast", run_name="__main__", alter_sys=True)
+        """)
+        run = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True,
+                             text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr.splitlines()) == (code, "", [line]), run.stderr
 
     def test_import_error_importing_the_cli_is_one_error_line(self):
         # `python -m v2x_loadcast --version` where numpy cannot be imported,
